@@ -115,29 +115,62 @@ func (n *Network) checkRouter(now sim.Cycle, id topology.NodeID) {
 			n.fail(now, "node %d input %s: occupied counter %d but %d slots in use",
 				id, topology.Port(p), in.occupied, occ)
 		}
-		for ta, slot := range in.parked {
-			s := &in.pool[slot]
-			if !s.occupied || s.departAt != sim.Never {
-				n.fail(now, "node %d input %s: schedule-list entry for arrival %d points at a non-parked slot",
-					id, topology.Port(p), ta)
+		// The schedule list is the pool's own parked slots and the input
+		// reservation table a ring of tagged cells, so, unlike the keyed
+		// maps they replace, neither can point at the wrong slot. What can
+		// go wrong is what the hot path trusts without looking: the parked
+		// and expected counters, and a ring cell left live past its cycle
+		// or tagged for a cycle its position cannot hold. The audit walks
+		// the pool and the ring to check exactly those.
+		parked := 0
+		for i := range in.pool {
+			s := &in.pool[i]
+			if !s.parked() {
+				continue
 			}
+			parked++
 			// The leak invariant reclamation exists to enforce: no parked
 			// flit outlives the reclamation timeout. Phantom-orphaned
 			// flits must be collected the very cycle they go stale, so any
 			// older survivor is a leaked buffer slot.
-			if n.cfg.ReclaimCycles > 0 && now-ta > n.cfg.ReclaimCycles {
+			if n.cfg.ReclaimCycles > 0 && now-s.arrived > n.cfg.ReclaimCycles {
 				n.fail(now, "node %d input %s: parked flit from cycle %d outlived the %d-cycle reclamation timeout — reservation slot leaked",
-					id, topology.Port(p), ta, n.cfg.ReclaimCycles)
+					id, topology.Port(p), s.arrived, n.cfg.ReclaimCycles)
 			}
 		}
-		// Expected arrivals are installed at most one control-flit journey
-		// ahead of their data and expire the cycle they fall due, so every
-		// surviving entry — phantom ones included — must lie in the future.
-		for ta := range in.expected {
-			if ta < now {
-				n.fail(now, "node %d input %s: expected-arrival entry for past cycle %d survived its expiry",
-					id, topology.Port(p), ta)
+		if parked != in.parked {
+			n.fail(now, "node %d input %s: parked counter %d but %d slots on the schedule list",
+				id, topology.Port(p), in.parked, parked)
+		}
+		// Expected arrivals (phantom ones included) and condemnations are
+		// installed less than one ring span ahead of their data and expire
+		// the cycle they fall due, so every live cell must lie in
+		// [now, now+span).
+		expected := 0
+		span := sim.Cycle(len(in.ring))
+		for i := range in.ring {
+			c := &in.ring[i]
+			if c.flags == 0 {
+				continue
 			}
+			if c.flags&cellExpected != 0 {
+				expected++
+			}
+			// The cell keeps the low 32 bits of its cycle; every live
+			// cycle lies within 2^31 of now.
+			at := now + sim.Cycle(int32(c.at-uint32(now)))
+			if at < now {
+				n.fail(now, "node %d input %s: ring cell for past arrival %d survived its expiry",
+					id, topology.Port(p), at)
+			}
+			if at >= now+span || int(at%span) != i {
+				n.fail(now, "node %d input %s: ring cell %d tagged with arrival %d outside its span",
+					id, topology.Port(p), i, at)
+			}
+		}
+		if expected != in.expected {
+			n.fail(now, "node %d input %s: expected counter %d but %d reserved ring cells",
+				id, topology.Port(p), in.expected, expected)
 		}
 	}
 }
@@ -150,9 +183,21 @@ func (n *Network) checkTable(now sim.Cycle, what string, t *outResTable) {
 	if t.steady < 0 || t.steady > t.cap {
 		n.fail(now, "%s: steady free count %d outside [0,%d]", what, t.steady, t.cap)
 	}
-	for i, f := range t.free {
-		if f < 0 || f > t.cap {
-			n.fail(now, "%s: free-buffer cell %d holds %d, outside [0,%d]", what, i, f, t.cap)
+	// Cells hold free counts relative to steady, and the departure search
+	// and the update bounds trust each cell's suffix extremes; recompute
+	// them from the cells.
+	var lo, hi int16
+	for off := t.size - 1; off >= 0; off-- {
+		c := &t.cells[t.cell(off)]
+		if f := t.steady + int(c.rel); f < 0 || f > t.cap {
+			n.fail(now, "%s: free-buffer cell for cycle %d holds %d, outside [0,%d]", what, t.base+sim.Cycle(off), f, t.cap)
+		}
+		if off == t.size-1 {
+			lo, hi = c.rel, c.rel
+		}
+		lo, hi = min(lo, c.rel), max(hi, c.rel)
+		if c.min != lo || c.max != hi {
+			n.fail(now, "%s: suffix extremes of cycle %d are [%d,%d], cells give [%d,%d]", what, t.base+sim.Cycle(off), c.min, c.max, lo, hi)
 		}
 	}
 	for v := range t.outstanding {

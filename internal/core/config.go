@@ -25,6 +25,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"frfc/internal/routing"
 	"frfc/internal/sim"
@@ -256,6 +257,30 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// latencySkew is how far a data flit's arrival can run ahead of its control
+// flit beyond the horizon: a scheduler reserves departures up to Horizon
+// cycles out, the data wire (or the injection link) adds its latency, and the
+// control wire plus the cycle the control flit waits in its queue claw back
+// CtrlLinkLatency+1 of it. Never negative.
+func (c Config) latencySkew() sim.Cycle {
+	skew := c.DataLinkLatency
+	if c.LocalLatency > skew {
+		skew = c.LocalLatency
+	}
+	skew -= c.CtrlLinkLatency
+	if skew < 0 {
+		skew = 0
+	}
+	return skew
+}
+
+// inputSpan sizes an input port's reservation ring: a reservation or
+// condemnation names an arrival at most Horizon+latencySkew-1 cycles after
+// the cycle it is made in, and each cell expires the cycle its arrival falls
+// due, so Horizon+latencySkew cells hold every live entry without two ever
+// sharing a cell.
+func (c Config) inputSpan() int { return int(c.Horizon + c.latencySkew()) }
+
 // validate panics on structurally impossible configurations.
 func (c Config) validate() {
 	if c.DataBuffers < 1 {
@@ -275,6 +300,12 @@ func (c Config) validate() {
 	}
 	if c.DataLinkLatency < 1 || c.CtrlLinkLatency < 1 || c.CreditLatency < 1 || c.LocalLatency < 1 {
 		panic("core: link latencies must be >= 1 cycle")
+	}
+	if c.Horizon > math.MaxUint16 {
+		panic("core: Horizon must be at most 65535 cycles — input reservation cells hold departure offsets in 16 bits")
+	}
+	if c.DataBuffers > math.MaxInt16 {
+		panic("core: DataBuffers must be at most 32767 — output reservation cells hold free-buffer counts in 16 bits")
 	}
 	if c.Horizon <= c.DataLinkLatency {
 		panic("core: Horizon must exceed DataLinkLatency or nothing can ever be reserved")

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"frfc/internal/metrics"
 	"frfc/internal/noc"
@@ -12,27 +12,60 @@ import (
 
 // poolSlot is one buffer of an input port's data pool. A slot is bound to a
 // concrete flit only at arrival time (deferred allocation); its departure
-// time and output port come from the reservation.
+// time and output port come from the reservation. A parked slot — its flit
+// arrived before its control flit finished scheduling — has departAt
+// sim.Never and is found again by its arrival cycle.
+//
+// A data flit on the flit-reservation data path carries no virtual channel
+// and its type follows from its position in the packet, so the slot keeps
+// only what identifies the flit and whether its payload is damaged.
 type poolSlot struct {
-	occupied bool
-	flit     noc.DataFlit
-	departAt sim.Cycle // sim.Never while the flit is parked unscheduled
-	outPort  topology.Port
+	ref       flitRef
+	departAt  sim.Cycle // sim.Never while the flit is parked unscheduled
+	arrived   sim.Cycle
+	outPort   uint8 // a topology.Port
+	occupied  bool
+	corrupted bool
 }
 
-// reservation is one pending entry of the input reservation table: a data
-// flit will arrive at a known cycle and must leave at departAt through
-// outPort.
-type reservation struct {
-	departAt sim.Cycle
-	outPort  topology.Port
-	// phantom marks a reservation installed by a corrupted control flit
-	// that escaped the hop CRC: its schedule is garbage the real traffic
-	// must never act on. The arriving data flit is not claimed by it — the
-	// flit parks until timeout reclamation collects it — and the entry
-	// itself dissolves unclaimed through the ordinary expiry path.
-	phantom bool
+func (s *poolSlot) parked() bool { return s.occupied && s.departAt == sim.Never }
+
+// flit rebuilds the buffered data flit.
+func (s *poolSlot) flit() noc.DataFlit {
+	f := s.ref.dataFlit()
+	f.Corrupted = s.corrupted
+	return f
 }
+
+// free empties the slot.
+func (s *poolSlot) free() { *s = poolSlot{} }
+
+// inCell is one cell of the input reservation table, a ring indexed by
+// arrival cycle. at tags the arrival cycle the cell currently describes; the
+// flags say what is known about it:
+//
+//   - cellExpected: a data flit will arrive at at and must leave wait cycles
+//     later through out;
+//   - cellPhantom: that reservation was installed by a corrupted control
+//     flit that escaped the hop CRC. Its schedule is garbage the real
+//     traffic must never act on: the arriving data flit is not claimed by
+//     it — the flit parks until timeout reclamation collects it — and the
+//     entry dissolves unclaimed through the ordinary expiry path;
+//   - cellCondemned: the control stream that was to schedule the flit
+//     arriving at at was destroyed by a hard fault, so the flit is dropped
+//     on sight instead of parking forever on the schedule list.
+type inCell struct {
+	at    uint32 // the arrival cycle's low 32 bits
+	wait  uint16 // departure minus arrival, at most Horizon
+	out   uint8
+	flags uint8
+}
+
+const (
+	cellExpected uint8 = 1 << iota
+	cellPhantom
+	cellCondemned
+)
 
 // inputPort is the data-network side of one router input: the buffer pool,
 // the input reservation table (expected arrivals), and the schedule list
@@ -42,11 +75,15 @@ type reservation struct {
 type inputPort struct {
 	pool     []poolSlot
 	occupied int
-	// expected maps a future arrival cycle to its reservation.
-	expected map[sim.Cycle]reservation
-	// parked maps the arrival cycle of an already-arrived, unscheduled
-	// flit to the pool slot holding it (the logical schedule list).
-	parked map[sim.Cycle]int
+	// ring is the input reservation table: one cell per arrival cycle
+	// over the span a reservation can reach ahead of the current cycle
+	// (Config.inputSpan), so every live entry has its own cell and a
+	// cell whose tag names another live cycle is a scheduling bug.
+	ring []inCell
+	// expected counts ring cells holding a reservation.
+	expected int
+	// parked counts pool slots on the schedule list.
+	parked int
 	// parkedTotal counts every flit that ever passed through the
 	// schedule list, a measure of how often data overtakes its control
 	// flit.
@@ -58,10 +95,6 @@ type inputPort struct {
 	// their control flit was corrupted, so nothing would ever have
 	// scheduled them out of the pool.
 	reclaimed int64
-	// condemned marks arrival cycles whose control stream a hard fault
-	// destroyed: the data flit, if it still arrives, is dropped on sight
-	// instead of parking forever on the schedule list.
-	condemned map[sim.Cycle]bool
 
 	dataIn    *sim.Pipe[noc.DataFlit]
 	creditOut *sim.Pipe[noc.ReservationCredit]
@@ -81,15 +114,74 @@ type inputPort struct {
 	faultTolerant bool
 }
 
-func newInputPort(buffers int, ledger *eagerLedger, faultTolerant bool) *inputPort {
+// newInputPort builds an input port with the given pool size and a
+// reservation ring of span cells, which must exceed the furthest arrival a
+// reservation or condemnation can name ahead of the current cycle.
+func newInputPort(buffers, span int, ledger *eagerLedger, faultTolerant bool) *inputPort {
 	return &inputPort{
 		pool:          make([]poolSlot, buffers),
-		expected:      make(map[sim.Cycle]reservation),
-		parked:        make(map[sim.Cycle]int),
-		condemned:     make(map[sim.Cycle]bool),
+		ring:          make([]inCell, span),
 		ledger:        ledger,
 		faultTolerant: faultTolerant,
 	}
+}
+
+// cell returns the live ring cell for arrival cycle ta, or nil.
+func (p *inputPort) cell(ta sim.Cycle) *inCell {
+	c := &p.ring[uint64(ta)%uint64(len(p.ring))]
+	if c.flags == 0 || c.at != uint32(ta) {
+		return nil
+	}
+	return c
+}
+
+// claim returns the ring cell for arrival cycle ta, tagging it when free.
+// A cell still live for another cycle means ta lies beyond the ring's span
+// (or a stale entry escaped its expiry) — a bug, never tolerated.
+func (p *inputPort) claim(ta sim.Cycle) *inCell {
+	c := &p.ring[uint64(ta)%uint64(len(p.ring))]
+	if c.flags == 0 {
+		c.at = uint32(ta)
+	} else if c.at != uint32(ta) {
+		panic(fmt.Sprintf("core: input reservation ring collision: arrival %d maps onto a cell live for another cycle (span %d)", ta, len(p.ring)))
+	}
+	return c
+}
+
+// expect records the reservation for arrival ta in its claimed cell.
+func (p *inputPort) expect(c *inCell, ta, departAt sim.Cycle, outPort topology.Port, phantom bool) {
+	if departAt < ta || departAt-ta > math.MaxUint16 {
+		panic(fmt.Sprintf("core: reservation departs at %d for arrival %d", departAt, ta))
+	}
+	c.wait = uint16(departAt - ta)
+	c.out = uint8(outPort)
+	c.flags |= cellExpected
+	if phantom {
+		c.flags |= cellPhantom
+	}
+	p.expected++
+}
+
+// unexpect clears cell c's reservation, if any.
+func (p *inputPort) unexpect(c *inCell) {
+	if c.flags&cellExpected != 0 {
+		p.expected--
+	}
+	c.flags &^= cellExpected | cellPhantom
+}
+
+// parkedSlot returns the pool slot holding the flit parked under arrival
+// cycle ta, or -1.
+func (p *inputPort) parkedSlot(ta sim.Cycle) int {
+	if p.parked == 0 {
+		return -1
+	}
+	for i := range p.pool {
+		if s := &p.pool[i]; s.parked() && s.arrived == ta {
+			return i
+		}
+	}
+	return -1
 }
 
 // reserve records a reservation signal from the output scheduler: the data
@@ -105,24 +197,22 @@ func newInputPort(buffers int, ledger *eagerLedger, faultTolerant bool) *inputPo
 func (p *inputPort) reserve(now, ta, departAt sim.Cycle, outPort topology.Port, phantom bool) {
 	if phantom {
 		p.phantoms++
-		if _, parked := p.parked[ta]; parked || ta < now {
+		if p.parkedSlot(ta) >= 0 || ta < now {
 			return
 		}
-		if _, dup := p.expected[ta]; dup {
+		c := p.claim(ta)
+		if c.flags&cellExpected != 0 {
 			// Never overwrite a real reservation with a phantom one.
 			return
 		}
-		p.expected[ta] = reservation{departAt: departAt, outPort: outPort, phantom: true}
+		p.expect(c, ta, departAt, outPort, true)
 		return
 	}
-	if slot, ok := p.parked[ta]; ok {
-		delete(p.parked, ta)
+	if slot := p.parkedSlot(ta); slot >= 0 {
 		s := &p.pool[slot]
-		if !s.occupied || s.departAt != sim.Never {
-			panic("core: schedule list pointed at a slot that is not parked")
-		}
 		s.departAt = departAt
-		s.outPort = outPort
+		s.outPort = uint8(outPort)
+		p.parked--
 		p.ledger.onScheduleParked(now, ta, departAt)
 		return
 	}
@@ -137,10 +227,11 @@ func (p *inputPort) reserve(now, ta, departAt sim.Cycle, outPort topology.Port, 
 		}
 		panic(fmt.Sprintf("core: reservation for past arrival %d at cycle %d with no parked flit", ta, now))
 	}
-	if _, dup := p.expected[ta]; dup {
+	c := p.claim(ta)
+	if c.flags&cellExpected != 0 {
 		panic(fmt.Sprintf("core: duplicate reservation for arrival cycle %d", ta))
 	}
-	p.expected[ta] = reservation{departAt: departAt, outPort: outPort}
+	p.expect(c, ta, departAt, outPort, false)
 	p.ledger.onReserve(ta, departAt)
 }
 
@@ -156,9 +247,14 @@ func (p *inputPort) reserve(now, ta, departAt sim.Cycle, outPort topology.Port, 
 // and the caller drops it into the loss path. A phantom reservation for this
 // cycle is ignored: the flit parks beside it as if unannounced.
 func (p *inputPort) arrive(now sim.Cycle, f noc.DataFlit, bypass func(f noc.DataFlit, out topology.Port)) bool {
-	if r, ok := p.expected[now]; ok && !r.phantom && r.departAt == now {
-		delete(p.expected, now)
-		bypass(f, r.outPort)
+	c := p.cell(now)
+	if c != nil && c.flags&(cellExpected|cellPhantom) != cellExpected {
+		c = nil // no real reservation for this arrival
+	}
+	if c != nil && c.wait == 0 {
+		out := topology.Port(c.out)
+		p.unexpect(c)
+		bypass(f, out)
 		return true
 	}
 	slot := -1
@@ -174,24 +270,26 @@ func (p *inputPort) arrive(now sim.Cycle, f noc.DataFlit, bypass func(f noc.Data
 		}
 		panic(fmt.Sprintf("core: data flit %s arrived at cycle %d with no free buffer — reservation accounting violated", f, now))
 	}
+	if c == nil && p.parkedSlot(now) >= 0 {
+		panic("core: two flits parked with the same arrival cycle on one input")
+	}
 	s := &p.pool[slot]
 	s.occupied = true
-	s.flit = f
+	s.ref = flitRef{pkt: f.Packet, seq: int32(f.Seq), attempt: int32(f.Attempt)}
+	s.corrupted = f.Corrupted
+	s.arrived = now
 	p.occupied++
-	if r, ok := p.expected[now]; ok && !r.phantom {
-		delete(p.expected, now)
-		s.departAt = r.departAt
-		s.outPort = r.outPort
+	if c != nil {
+		s.departAt = now + sim.Cycle(c.wait)
+		s.outPort = c.out
+		p.unexpect(c)
 		return true
 	}
 	// Arrived before its control flit finished scheduling: park it on the
 	// schedule list.
 	s.departAt = sim.Never
 	s.outPort = 0
-	if _, dup := p.parked[now]; dup {
-		panic("core: two flits parked with the same arrival cycle on one input")
-	}
-	p.parked[now] = slot
+	p.parked++
 	p.parkedTotal++
 	p.probe.Late(now, p.node, p.portIndex, uint64(f.Packet.ID), f.Seq)
 	p.ledger.onParkedArrival(now)
@@ -207,11 +305,10 @@ func (p *inputPort) departures(now sim.Cycle, fn func(f noc.DataFlit, out topolo
 		if !s.occupied || s.departAt != now {
 			continue
 		}
-		s.occupied = false
+		f, out := s.flit(), topology.Port(s.outPort)
+		s.free()
 		p.occupied--
-		fn(s.flit, s.outPort)
-		s.flit = noc.DataFlit{}
-		s.departAt = sim.Never
+		fn(f, out)
 	}
 }
 
@@ -221,41 +318,47 @@ func (p *inputPort) departures(now sim.Cycle, fn func(f noc.DataFlit, out topolo
 // accounting stays consistent. It must run after the cycle's arrivals. A
 // condemned cycle whose flit never showed up expires the same way.
 func (p *inputPort) expireExpected(now sim.Cycle) {
-	delete(p.expected, now)
-	delete(p.condemned, now)
+	if c := p.cell(now); c != nil {
+		p.unexpect(c)
+		c.flags = 0
+	}
 }
 
 // condemn marks a future arrival cycle as orphaned: the control flit that
 // was to schedule the arriving data flit has been destroyed by a hard fault,
 // so the flit must be dropped on arrival rather than parked forever.
-func (p *inputPort) condemn(ta sim.Cycle) { p.condemned[ta] = true }
+func (p *inputPort) condemn(ta sim.Cycle) { p.claim(ta).flags |= cellCondemned }
 
 // condemnedArrival reports (and consumes) whether the flit arriving at now
 // belongs to a destroyed control stream.
 func (p *inputPort) condemnedArrival(now sim.Cycle) bool {
-	if p.condemned[now] {
-		delete(p.condemned, now)
-		return true
+	c := p.cell(now)
+	if c == nil || c.flags&cellCondemned == 0 {
+		return false
 	}
-	return false
+	c.flags &^= cellCondemned
+	return true
+}
+
+// unpark frees parked slot i and returns its flit.
+func (p *inputPort) unpark(i int) noc.DataFlit {
+	s := &p.pool[i]
+	f := s.flit()
+	s.free()
+	p.occupied--
+	p.parked--
+	return f
 }
 
 // dropParked removes and returns the flit parked under arrival cycle ta, if
 // any: its control flit has been destroyed by a hard fault, so it can never
 // be scheduled out of the pool.
 func (p *inputPort) dropParked(ta sim.Cycle) (noc.DataFlit, bool) {
-	slot, ok := p.parked[ta]
-	if !ok {
+	slot := p.parkedSlot(ta)
+	if slot < 0 {
 		return noc.DataFlit{}, false
 	}
-	delete(p.parked, ta)
-	s := &p.pool[slot]
-	f := s.flit
-	s.occupied = false
-	p.occupied--
-	s.flit = noc.DataFlit{}
-	s.departAt = sim.Never
-	return f, true
+	return p.unpark(slot), true
 }
 
 // reclaim collects parked flits no control flit will ever schedule: a flit
@@ -265,21 +368,18 @@ func (p *inputPort) dropParked(ta sim.Cycle) (noc.DataFlit, bool) {
 // so only phantom-orphaned flits are ever collected. Stale slots are
 // processed in arrival order so a run replays bit-identically.
 func (p *inputPort) reclaim(now, timeout sim.Cycle, drop func(noc.DataFlit)) {
-	if len(p.parked) == 0 {
-		return
-	}
-	var stale []sim.Cycle
-	for ta := range p.parked {
-		if now-ta >= timeout {
-			stale = append(stale, ta)
+	for p.parked > 0 {
+		oldest := -1
+		for i := range p.pool {
+			s := &p.pool[i]
+			if s.parked() && now-s.arrived >= timeout && (oldest < 0 || s.arrived < p.pool[oldest].arrived) {
+				oldest = i
+			}
 		}
-	}
-	if len(stale) == 0 {
-		return
-	}
-	sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
-	for _, ta := range stale {
-		f, _ := p.dropParked(ta)
+		if oldest < 0 {
+			return
+		}
+		f := p.unpark(oldest)
 		p.reclaimed++
 		drop(f)
 	}
@@ -293,20 +393,20 @@ func (p *inputPort) reclaim(now, timeout sim.Cycle, drop func(noc.DataFlit)) {
 // condemned. Parked flits stay — their control flit will schedule them on
 // the fresh table.
 func (p *inputPort) purgeOutput(out topology.Port, drop func(noc.DataFlit)) {
-	for ta, r := range p.expected {
-		if r.outPort == out {
-			delete(p.expected, ta)
-			p.condemned[ta] = true
+	for i := range p.ring {
+		c := &p.ring[i]
+		if c.flags&cellExpected != 0 && topology.Port(c.out) == out {
+			p.unexpect(c)
+			c.flags |= cellCondemned
 		}
 	}
 	for i := range p.pool {
 		s := &p.pool[i]
-		if s.occupied && s.departAt != sim.Never && s.outPort == out {
-			s.occupied = false
+		if s.occupied && s.departAt != sim.Never && topology.Port(s.outPort) == out {
+			f := s.flit()
+			s.free()
 			p.occupied--
-			drop(s.flit)
-			s.flit = noc.DataFlit{}
-			s.departAt = sim.Never
+			drop(f)
 		}
 	}
 }
@@ -320,24 +420,16 @@ func (p *inputPort) reset(drop func(noc.DataFlit)) {
 	for i := range p.pool {
 		s := &p.pool[i]
 		if s.occupied {
-			drop(s.flit)
+			drop(s.flit())
 		}
-		*s = poolSlot{departAt: sim.Never}
+		s.free()
 	}
-	p.occupied = 0
-	for ta := range p.expected {
-		delete(p.expected, ta)
-	}
-	for ta := range p.parked {
-		delete(p.parked, ta)
-	}
-	for ta := range p.condemned {
-		delete(p.condemned, ta)
-	}
+	p.occupied, p.parked, p.expected = 0, 0, 0
+	clear(p.ring)
 }
 
 // pending reports buffered flits plus outstanding expectations, used by the
 // drain check at the end of a run.
 func (p *inputPort) pending() int {
-	return p.occupied + len(p.expected)
+	return p.occupied + p.expected
 }

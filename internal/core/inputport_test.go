@@ -8,8 +8,15 @@ import (
 	"frfc/internal/topology"
 )
 
+// testSpan is the reservation ring span of the paper's FR6 input ports
+// (horizon 32 plus a latency skew of 3), which covers every arrival these
+// tests reserve.
+const testSpan = 35
+
+// testFlit builds a data flit as the flit-reservation data path carries it:
+// its type follows from its position in the packet.
 func testFlit(id noc.PacketID, seq int) noc.DataFlit {
-	return noc.DataFlit{Packet: &noc.Packet{ID: id, Len: 8}, Seq: seq}
+	return noc.DataFlit{Packet: &noc.Packet{ID: id, Len: 8}, Seq: seq, Type: noc.TypeFor(seq, 8)}
 }
 
 // noBypass fails the test if the bypass path fires.
@@ -21,7 +28,7 @@ func noBypass(t *testing.T) func(noc.DataFlit, topology.Port) {
 }
 
 func TestInputPortReserveThenArriveThenDepart(t *testing.T) {
-	p := newInputPort(3, nil, false)
+	p := newInputPort(3, testSpan, nil, false)
 	p.reserve(0, 5, 9, topology.East, false)
 	p.arrive(5, testFlit(1, 0), noBypass(t))
 	if p.occupied != 1 {
@@ -44,7 +51,7 @@ func TestInputPortReserveThenArriveThenDepart(t *testing.T) {
 }
 
 func TestInputPortBypass(t *testing.T) {
-	p := newInputPort(1, nil, false)
+	p := newInputPort(1, testSpan, nil, false)
 	p.reserve(0, 7, 7, topology.South, false) // depart the same cycle it arrives
 	hit := false
 	p.arrive(7, testFlit(2, 0), func(f noc.DataFlit, out topology.Port) {
@@ -62,15 +69,15 @@ func TestInputPortBypass(t *testing.T) {
 }
 
 func TestInputPortParkThenSchedule(t *testing.T) {
-	p := newInputPort(2, nil, false)
+	p := newInputPort(2, testSpan, nil, false)
 	// Flit arrives before any reservation: parked on the schedule list.
 	p.arrive(4, testFlit(3, 1), noBypass(t))
-	if len(p.parked) != 1 || p.occupied != 1 {
+	if p.parked != 1 || p.occupied != 1 {
 		t.Fatal("flit not parked")
 	}
 	// The reservation signal claims it later.
 	p.reserve(10, 4, 13, topology.West, false)
-	if len(p.parked) != 0 {
+	if p.parked != 0 {
 		t.Fatal("schedule list entry not claimed")
 	}
 	departed := false
@@ -91,7 +98,7 @@ func TestInputPortPoolExhaustionPanics(t *testing.T) {
 			t.Fatal("arrival into a full pool did not panic")
 		}
 	}()
-	p := newInputPort(1, nil, false)
+	p := newInputPort(1, testSpan, nil, false)
 	p.arrive(1, testFlit(1, 0), noBypass(t))
 	p.arrive(2, testFlit(2, 0), noBypass(t))
 }
@@ -102,7 +109,7 @@ func TestInputPortDuplicateReservationPanics(t *testing.T) {
 			t.Fatal("duplicate reservation did not panic")
 		}
 	}()
-	p := newInputPort(2, nil, false)
+	p := newInputPort(2, testSpan, nil, false)
 	p.reserve(0, 5, 9, topology.East, false)
 	p.reserve(0, 5, 10, topology.West, false)
 }
@@ -113,12 +120,12 @@ func TestInputPortPastReservationWithoutFlitPanics(t *testing.T) {
 			t.Fatal("reservation for a past arrival with no parked flit did not panic")
 		}
 	}()
-	p := newInputPort(2, nil, false)
+	p := newInputPort(2, testSpan, nil, false)
 	p.reserve(10, 4, 13, topology.East, false)
 }
 
 func TestInputPortPending(t *testing.T) {
-	p := newInputPort(4, nil, false)
+	p := newInputPort(4, testSpan, nil, false)
 	p.reserve(0, 6, 9, topology.East, false)
 	if p.pending() != 1 {
 		t.Fatalf("pending = %d with one expectation, want 1", p.pending())
@@ -142,7 +149,9 @@ func TestDeferredAllocationNeverFragments(t *testing.T) {
 	rng := sim.NewRNG(77)
 	const buffers = 6
 	for trial := 0; trial < 200; trial++ {
-		p := newInputPort(buffers, nil, false)
+		// Arrivals are reserved up to 120 cycles ahead, so the ring
+		// spans all of them.
+		p := newInputPort(buffers, 120, nil, false)
 		// Build random arrivals with random residencies, admitting an
 		// arrival only if current+future overlap stays within bounds;
 		// this mirrors what the reservation accounting enforces.
@@ -203,7 +212,7 @@ func TestDeferredAllocationNeverFragments(t *testing.T) {
 func TestInputPortFaultTolerantLateReservation(t *testing.T) {
 	// In fault-tolerant mode a reservation for a past arrival with no
 	// parked flit (the flit was destroyed upstream) dissolves quietly.
-	p := newInputPort(2, nil, true)
+	p := newInputPort(2, testSpan, nil, true)
 	p.reserve(10, 4, 13, topology.East, false)
 	if p.pending() != 0 {
 		t.Fatalf("dissolved reservation left pending state: %d", p.pending())

@@ -45,9 +45,15 @@ type NI struct {
 	dataOut      *sim.Pipe[noc.DataFlit]
 	resvCreditIn *sim.Pipe[noc.ReservationCredit]
 
-	// sendAt holds scheduled data-flit injections keyed by departure
-	// cycle; the injection channel's busy bits make the key unique.
-	sendAt map[sim.Cycle]noc.DataFlit
+	// sendAt holds scheduled data-flit injections by departure cycle, at
+	// most Horizon cycles ahead; the injection channel's busy bits make the
+	// cycle unique.
+	sendAt cycleRing[flitRef]
+
+	// leads recycles control flits' lead arrays network-wide; tentative is
+	// scratch for the injection scheduler's all-or-nothing commits.
+	leads     *leadPool
+	tentative []tentative
 
 	// End-to-end retry state (cfg.RetryLimit > 0). awaiting tracks every
 	// offered packet until the destination's acknowledgment arrives;
@@ -94,7 +100,6 @@ type niTimeout struct {
 type niPacket struct {
 	active   bool
 	pkt      *noc.Packet
-	data     []noc.DataFlit
 	ctrl     []noc.ControlFlit
 	nextCtrl int
 }
@@ -109,7 +114,7 @@ func newNI(node topology.NodeID, cfg Config, rng *sim.RNG, hooks *noc.Hooks) *NI
 		active:      make([]niPacket, cfg.CtrlVCs),
 		ctrlCredits: make([]int, cfg.CtrlVCs),
 		ctrlOwned:   make([]bool, cfg.CtrlVCs),
-		sendAt:      make(map[sim.Cycle]noc.DataFlit),
+		sendAt:      newCycleRing[flitRef](int(cfg.Horizon) + 1),
 		progress:    new(int64),
 	}
 	if cfg.RetryLimit > 0 {
@@ -250,15 +255,17 @@ func (n *NI) Tick(now sim.Cycle) {
 	// control flits injected, data flits launched.
 	work := 0
 	n.injTable.advance(now)
-	work += n.resvCreditIn.RecvEach(now, func(c noc.ReservationCredit) {
+	for c, ok := n.resvCreditIn.Recv(now); ok; c, ok = n.resvCreditIn.Recv(now) {
 		n.injTable.creditFrom(c.FreeFrom, c.VC)
-	})
-	work += n.ctrlCreditIn.RecvEach(now, func(c noc.VCCredit) {
+		work++
+	}
+	for c, ok := n.ctrlCreditIn.Recv(now); ok; c, ok = n.ctrlCreditIn.Recv(now) {
 		n.ctrlCredits[c.VC]++
 		if n.ctrlCredits[c.VC] > n.cfg.CtrlBufPerVC {
 			panic("core: NI control credit overflow")
 		}
-	})
+		work++
+	}
 
 	if n.cfg.RetryLimit > 0 {
 		n.tickRetries(now)
@@ -283,7 +290,8 @@ func (n *NI) Tick(now sim.Cycle) {
 		if n.wf != nil && p.Sampled {
 			n.wf.InjectStart(uint64(p.ID), uint8(p.Attempts), p.CreatedAt, now)
 		}
-		n.active[v] = niPacket{active: true, pkt: p, data: noc.DataFlits(p), ctrl: noc.ControlFlits(p, n.cfg.LeadsPerCtrl)}
+		ap := &n.active[v]
+		*ap = niPacket{active: true, pkt: p, ctrl: noc.AppendControlFlits(ap.ctrl, p, n.cfg.LeadsPerCtrl)}
 		work++
 	}
 
@@ -302,8 +310,8 @@ func (n *NI) Tick(now sim.Cycle) {
 	}
 
 	// Launch data flits whose scheduled injection cycle has come.
-	if f, ok := n.sendAt[now]; ok {
-		delete(n.sendAt, now)
+	if ref, ok := n.sendAt.take(now); ok {
+		f := ref.dataFlit()
 		n.probe.Inject(now, int(n.node), uint64(f.Packet.ID), f.Seq)
 		if n.wf != nil && f.Seq == 0 && f.Packet.Sampled {
 			n.wf.HeadWire(uint64(f.Packet.ID), uint8(f.Attempt), now)
@@ -338,11 +346,7 @@ func (n *NI) tryInject(now sim.Cycle, v int) bool {
 	// deferred at least LeadCycles behind this control flit (leading
 	// control); findDeparture never returns earlier than now+1.
 	minTA := now + n.cfg.LeadCycles
-	type tentative struct {
-		lead int
-		td   sim.Cycle
-	}
-	committed := make([]tentative, 0, len(cf.Leads))
+	committed := n.tentative[:0]
 	for i := range cf.Leads {
 		td, ok := n.injTable.findDeparture(now, minTA, n.cfg.LocalLatency, v)
 		if !ok {
@@ -355,17 +359,16 @@ func (n *NI) tryInject(now sim.Cycle, v int) bool {
 		n.injTable.commit(td, n.cfg.LocalLatency, v)
 		committed = append(committed, tentative{lead: i, td: td})
 	}
+	n.tentative = committed
 	for _, t := range committed {
 		n.probe.ReserveHit(now, int(n.node), int(topology.Local), uint64(cf.Packet.ID), t.td)
 	}
-	leads := make([]noc.LeadEntry, len(cf.Leads))
+	// Leads are committed in order, so committed[i] is lead i.
+	leads := n.leads.get()
 	for _, t := range committed {
 		seq := cf.Leads[t.lead].Seq
-		leads[t.lead] = noc.LeadEntry{Seq: seq, Arrival: t.td + n.cfg.LocalLatency}
-		if _, dup := n.sendAt[t.td]; dup {
-			panic("core: NI scheduled two data flits on one injection cycle")
-		}
-		n.sendAt[t.td] = ap.data[seq]
+		leads = append(leads, noc.LeadEntry{Seq: seq, Arrival: t.td + n.cfg.LocalLatency})
+		n.sendAt.put(t.td, flitRef{pkt: cf.Packet, seq: int32(seq), attempt: int32(cf.Attempt)}, "core: NI scheduled two data flits on one injection cycle")
 	}
 	cf.Leads = leads
 	cf.VC = v
@@ -384,14 +387,19 @@ func (n *NI) tryInject(now sim.Cycle, v int) bool {
 		}
 		n.ctrlOwned[v] = false
 		ap.active = false
-		ap.pkt, ap.data, ap.ctrl = nil, nil, nil
+		ap.pkt = nil
+		// Keep the control flits' arrays for the VC's next packet, minus
+		// their references to this one.
+		for i := range ap.ctrl {
+			ap.ctrl[i].Packet = nil
+		}
 	}
 	return true
 }
 
 // pendingWork reports queued packets plus unsent control and data flits.
 func (n *NI) pendingWork() int {
-	w := len(n.queue) + len(n.sendAt)
+	w := len(n.queue) + n.sendAt.len()
 	for v := range n.active {
 		if n.active[v].active {
 			w += len(n.active[v].ctrl) - n.active[v].nextCtrl
@@ -411,10 +419,18 @@ func (n *NI) pendingWork() int {
 type Sink struct {
 	node   topology.NodeID
 	dataIn *sim.Pipe[noc.DataFlit]
-	expect map[sim.Cycle]expectEntry
-	state  map[noc.PacketID]*sinkPkt
-	hooks  *noc.Hooks
-	probe  *metrics.Probe
+	// expect is the reassembly schedule by ejection cycle, at most
+	// Horizon+LocalLatency cycles ahead.
+	expect cycleRing[flitRef]
+	// state holds reassembly state per packet. Without end-to-end retry a
+	// delivered packet is never addressed again, so its entry is dropped
+	// on delivery (and recycled through spare); with retry it stays to
+	// mark later signals stale.
+	state map[noc.PacketID]*sinkPkt
+	spare []*sinkPkt
+	retry bool
+	hooks *noc.Hooks
+	probe *metrics.Probe
 	// prof is the self-profiling registry cached off the probe at attach
 	// time; nil when profiling is disabled.
 	prof *profile.Registry
@@ -431,12 +447,6 @@ type Sink struct {
 	notifyLoss func(p *noc.Packet, attempt int, now sim.Cycle)
 }
 
-type expectEntry struct {
-	pkt     *noc.Packet
-	seq     int
-	attempt int
-}
-
 // sinkPkt is one packet's reassembly state: the newest transmission attempt
 // seen, its progress, and whether the packet's fate is already resolved.
 type sinkPkt struct {
@@ -450,11 +460,12 @@ type sinkPkt struct {
 	corrupt bool
 }
 
-func newSink(node topology.NodeID, hooks *noc.Hooks) *Sink {
+func newSink(node topology.NodeID, cfg Config, hooks *noc.Hooks) *Sink {
 	return &Sink{
 		node:   node,
-		expect: make(map[sim.Cycle]expectEntry),
+		expect: newCycleRing[flitRef](int(cfg.Horizon+cfg.LocalLatency) + 1),
 		state:  make(map[noc.PacketID]*sinkPkt),
+		retry:  cfg.RetryLimit > 0,
 		hooks:  hooks,
 	}
 }
@@ -462,16 +473,19 @@ func newSink(node topology.NodeID, hooks *noc.Hooks) *Sink {
 // Expect records that the flit identified by (pkt, seq, attempt) will arrive
 // on the ejection link at cycle at.
 func (s *Sink) Expect(at sim.Cycle, pkt *noc.Packet, seq, attempt int) {
-	if _, dup := s.expect[at]; dup {
-		panic("core: two flits scheduled to eject in the same cycle")
-	}
-	s.expect[at] = expectEntry{pkt: pkt, seq: seq, attempt: attempt}
+	s.expect.put(at, flitRef{pkt: pkt, seq: int32(seq), attempt: int32(attempt)}, "core: two flits scheduled to eject in the same cycle")
 }
 
 func (s *Sink) stateFor(id noc.PacketID, attempt int) *sinkPkt {
 	st := s.state[id]
 	if st == nil {
-		st = &sinkPkt{attempt: attempt}
+		if k := len(s.spare); k > 0 {
+			st = s.spare[k-1]
+			s.spare = s.spare[:k-1]
+		} else {
+			st = new(sinkPkt)
+		}
+		*st = sinkPkt{attempt: attempt}
 		s.state[id] = st
 	}
 	return st
@@ -483,74 +497,85 @@ func (s *Sink) stateFor(id noc.PacketID, attempt int) *sinkPkt {
 // current attempt is reported lost, once, and stragglers of lost or superseded
 // attempts are ignored.
 func (s *Sink) Tick(now sim.Cycle) {
-	work := s.dataIn.RecvEach(now, func(f noc.DataFlit) {
-		e, ok := s.expect[now]
-		if !ok {
-			panic(fmt.Sprintf("core: %s ejected at cycle %d with no reassembly schedule entry", f, now))
-		}
-		delete(s.expect, now)
-		if e.pkt.ID != f.Packet.ID || e.seq != f.Seq || e.attempt != f.Attempt {
-			panic(fmt.Sprintf("core: reassembly mismatch at cycle %d: scheduled pkt=%d seq=%d attempt=%d, got %s attempt=%d", now, e.pkt.ID, e.seq, e.attempt, f, f.Attempt))
-		}
-		s.hooks.Ejected(now)
-		s.probe.Eject(now, int(s.node), uint64(f.Packet.ID), f.Seq)
-		if s.wf != nil && f.Seq == 0 && f.Packet.Sampled {
-			s.wf.Eject(uint64(f.Packet.ID), uint8(f.Attempt), now)
-		}
-		st := s.stateFor(f.Packet.ID, f.Attempt)
-		if st.done || f.Attempt < st.attempt {
-			return // straggler of a resolved packet or superseded attempt
-		}
-		if f.Attempt > st.attempt {
-			st.attempt, st.got, st.lost, st.corrupt = f.Attempt, 0, false, false
-		}
-		if st.lost {
-			return
-		}
-		if f.Corrupted {
-			// Damage that escaped every hop CRC has reached the
-			// destination — the silent-corruption event. With the
-			// end-to-end check off this packet is delivered as-is.
-			st.corrupt = true
-			s.hooks.CorruptEscape(f.Packet, now)
-		}
-		st.got++
-		if st.got == f.Packet.Len {
-			if st.corrupt && s.e2eCheck {
-				// The payload checksum rejects the reassembled packet;
-				// the established loss path takes over.
-				st.lost = true
-				s.probe.Nack(int(s.node))
-				s.hooks.Lost(f.Packet, now)
-				if s.notifyLoss != nil {
-					s.notifyLoss(f.Packet, f.Attempt, now)
-				}
-				return
-			}
-			st.done = true
-			s.hooks.Delivered(f.Packet, now)
-		}
-	})
-	if e, ok := s.expect[now]; ok {
-		delete(s.expect, now)
+	work := 0
+	for f, ok := s.dataIn.Recv(now); ok; f, ok = s.dataIn.Recv(now) {
+		s.receive(now, f)
 		work++
-		st := s.stateFor(e.pkt.ID, e.attempt)
+	}
+	if e, ok := s.expect.take(now); ok {
+		work++
+		attempt := int(e.attempt)
+		st := s.stateFor(e.pkt.ID, attempt)
 		// A stale entry — the packet's fate no longer depends on this
 		// attempt — is dropped without a loss report.
-		if !(st.done || e.attempt < st.attempt || (e.attempt == st.attempt && st.lost)) {
-			if e.attempt > st.attempt {
-				st.attempt, st.got, st.corrupt = e.attempt, 0, false
+		if !(st.done || attempt < st.attempt || (attempt == st.attempt && st.lost)) {
+			if attempt > st.attempt {
+				st.attempt, st.got, st.corrupt = attempt, 0, false
 			}
 			st.lost = true
 			s.probe.Nack(int(s.node))
 			s.hooks.Lost(e.pkt, now)
 			if s.notifyLoss != nil {
-				s.notifyLoss(e.pkt, e.attempt, now)
+				s.notifyLoss(e.pkt, attempt, now)
 			}
 		}
 	}
 	s.prof.ComponentTick(profile.CompSink, int(s.node), work > 0)
 }
 
+// receive matches an ejected flit against the reassembly schedule and
+// advances its packet's reassembly.
+func (s *Sink) receive(now sim.Cycle, f noc.DataFlit) {
+	e, ok := s.expect.take(now)
+	if !ok {
+		panic(fmt.Sprintf("core: %s ejected at cycle %d with no reassembly schedule entry", f, now))
+	}
+	if e.pkt.ID != f.Packet.ID || int(e.seq) != f.Seq || int(e.attempt) != f.Attempt {
+		panic(fmt.Sprintf("core: reassembly mismatch at cycle %d: scheduled pkt=%d seq=%d attempt=%d, got %s attempt=%d", now, e.pkt.ID, e.seq, e.attempt, f, f.Attempt))
+	}
+	s.hooks.Ejected(now)
+	s.probe.Eject(now, int(s.node), uint64(f.Packet.ID), f.Seq)
+	if s.wf != nil && f.Seq == 0 && f.Packet.Sampled {
+		s.wf.Eject(uint64(f.Packet.ID), uint8(f.Attempt), now)
+	}
+	st := s.stateFor(f.Packet.ID, f.Attempt)
+	if st.done || f.Attempt < st.attempt {
+		return // straggler of a resolved packet or superseded attempt
+	}
+	if f.Attempt > st.attempt {
+		st.attempt, st.got, st.lost, st.corrupt = f.Attempt, 0, false, false
+	}
+	if st.lost {
+		return
+	}
+	if f.Corrupted {
+		// Damage that escaped every hop CRC has reached the
+		// destination — the silent-corruption event. With the
+		// end-to-end check off this packet is delivered as-is.
+		st.corrupt = true
+		s.hooks.CorruptEscape(f.Packet, now)
+	}
+	st.got++
+	if st.got == f.Packet.Len {
+		if st.corrupt && s.e2eCheck {
+			// The payload checksum rejects the reassembled packet;
+			// the established loss path takes over.
+			st.lost = true
+			s.probe.Nack(int(s.node))
+			s.hooks.Lost(f.Packet, now)
+			if s.notifyLoss != nil {
+				s.notifyLoss(f.Packet, f.Attempt, now)
+			}
+			return
+		}
+		st.done = true
+		if !s.retry {
+			delete(s.state, f.Packet.ID)
+			s.spare = append(s.spare, st)
+		}
+		s.hooks.Delivered(f.Packet, now)
+	}
+}
+
 // pendingWork reports flits expected but not yet ejected.
-func (s *Sink) pendingWork() int { return len(s.expect) }
+func (s *Sink) pendingWork() int { return s.expect.len() }

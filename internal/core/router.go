@@ -28,6 +28,13 @@ type leadState struct {
 	departAt  sim.Cycle
 }
 
+// tentative is one lead's departure committed by an all-or-nothing scheduler
+// before it knows whether the control flit's other leads fit.
+type tentative struct {
+	lead int
+	td   sim.Cycle
+}
+
 // queuedCtrl is a control flit buffered in a control VC queue together with
 // its mutable per-lead scheduling state. admitted records that the output
 // reservation table has set aside buffers for all of its leads (per-flit
@@ -52,7 +59,8 @@ type queuedCtrl struct {
 // plus the routing-table entry (output port) and downstream-VC allocation of
 // the packet currently holding the channel. drain marks a stream a hard
 // fault destroyed mid-flight: followers are discarded until the tail passes
-// (or a fresh head shows the tail itself was destroyed).
+// (or a fresh head shows the tail itself was destroyed). spare holds the
+// lead-state arrays of popped flits for the VC's next arrivals.
 type ctrlVC struct {
 	q         []queuedCtrl
 	routed    bool
@@ -60,6 +68,7 @@ type ctrlVC struct {
 	allocated bool
 	outVC     int
 	drain     bool
+	spare     [][]leadState
 }
 
 // ctrlInput is the control-network side of one router input.
@@ -137,7 +146,11 @@ type Router struct {
 	// watchdog monitors; the router bumps it whenever a flit moves.
 	progress *int64
 
-	cands []portVC // scratch
+	// leads recycles control flits' lead arrays network-wide.
+	leads *leadPool
+
+	cands     []portVC    // scratch
+	tentative []tentative // scratch for all-or-nothing scheduling
 }
 
 func newRouter(id topology.NodeID, mesh topology.Mesh, cfg Config, rng *sim.RNG) *Router {
@@ -151,7 +164,7 @@ func newRouter(id topology.NodeID, mesh topology.Mesh, cfg Config, rng *sim.RNG)
 		if cfg.TrackEagerTransfers {
 			ledger = newEagerLedger(cfg.DataBuffers)
 		}
-		r.inputs[p] = newInputPort(cfg.DataBuffers, ledger, cfg.DataFaultRate > 0 || cfg.BER > 0 || len(cfg.Faults) > 0)
+		r.inputs[p] = newInputPort(cfg.DataBuffers, cfg.inputSpan(), ledger, cfg.DataFaultRate > 0 || cfg.BER > 0 || len(cfg.Faults) > 0)
 		r.inputs[p].node = int(id)
 		r.inputs[p].portIndex = int(p)
 		r.outTables[p] = newOutResTable(cfg.Horizon, cfg.DataBuffers, cfg.CtrlVCs, p == topology.Local)
@@ -205,53 +218,38 @@ func (r *Router) Tick(now sim.Cycle) {
 			r.outTables[p].advance(now)
 		}
 	}
-	for p := range r.dataCreditIn {
-		if r.dataCreditIn[p] == nil {
+	for p, pipe := range r.dataCreditIn {
+		if pipe == nil {
 			continue
 		}
 		table := r.outTables[p]
-		cred += r.dataCreditIn[p].RecvEach(now, func(c noc.ReservationCredit) {
+		for c, ok := pipe.Recv(now); ok; c, ok = pipe.Recv(now) {
 			table.creditFrom(c.FreeFrom, c.VC)
-		})
+			cred++
+		}
 	}
 	for p := range r.ctrlOut {
 		co := &r.ctrlOut[p]
 		if !co.exists || co.creditIn == nil {
 			continue
 		}
-		cred += co.creditIn.RecvEach(now, func(c noc.VCCredit) {
+		for c, ok := co.creditIn.Recv(now); ok; c, ok = co.creditIn.Recv(now) {
 			co.credits[c.VC]++
 			if co.credits[c.VC] > r.cfg.CtrlBufPerVC {
 				panic("core: control credit overflow")
 			}
-		})
+			cred++
+		}
 	}
 	for p := range r.ctrlIn {
 		ci := &r.ctrlIn[p]
 		if !ci.exists || ci.in == nil {
 			continue
 		}
-		arb += ci.in.RecvEach(now, func(cf noc.ControlFlit) {
-			vc := &ci.vcs[cf.VC]
-			leads := make([]leadState, len(cf.Leads))
-			for i, le := range cf.Leads {
-				leads[i] = leadState{seq: le.Seq, arrival: le.Arrival, departAt: sim.Never}
-			}
-			qc := queuedCtrl{flit: cf, leads: leads, arrivedAt: now}
-			if cf.Corrupted {
-				r.probe.Corrupt(int(r.id))
-				// The detection draw happens at receive so RNG order is
-				// a function of link traffic alone, not of queueing.
-				if r.crcDetect() {
-					qc.detectedCorrupt = true
-					r.hooks.CrcDetected(now)
-				}
-			}
-			vc.q = append(vc.q, qc)
-			if len(vc.q) > r.cfg.CtrlBufPerVC {
-				panic(fmt.Sprintf("core: node %d control buffer overflow on %s vc %d", r.id, topology.Port(p), cf.VC))
-			}
-		})
+		for cf, ok := ci.in.Recv(now); ok; cf, ok = ci.in.Recv(now) {
+			r.receiveCtrl(now, ci, topology.Port(p), cf)
+			arb++
+		}
 	}
 
 	walked, sched := r.processControl(now)
@@ -272,37 +270,10 @@ func (r *Router) Tick(now sim.Cycle) {
 		if in == nil || in.dataIn == nil {
 			continue
 		}
-		sw += in.dataIn.RecvEach(now, func(f noc.DataFlit) {
-			if r.wf != nil && f.Seq == 0 && f.Packet.Sampled {
-				r.wf.Arrive(uint64(f.Packet.ID), uint8(f.Attempt), now)
-			}
-			if f.Corrupted {
-				r.probe.Corrupt(int(r.id))
-				if r.crcDetect() {
-					// The hop CRC caught the damage: the flit is
-					// discarded into the established loss path — its
-					// reservation expires unclaimed and the destination's
-					// no-show detection triggers the end-to-end retry.
-					r.hooks.CrcDetected(now)
-					r.hooks.Dropped(f.Packet, now)
-					return
-				}
-			}
-			if in.condemnedArrival(now) {
-				// The control flit that was to schedule this data flit
-				// was destroyed by a hard fault; the flit has nowhere to
-				// go and would park forever.
-				r.hooks.Dropped(f.Packet, now)
-				return
-			}
-			if !in.arrive(now, f, func(f noc.DataFlit, out topology.Port) {
-				r.sendData(now, f, out)
-			}) {
-				// Phantom-orphaned flits overcommitted the pool; the
-				// refused flit is destroyed and recovered end to end.
-				r.hooks.Dropped(f.Packet, now)
-			}
-		})
+		for f, ok := in.dataIn.Recv(now); ok; f, ok = in.dataIn.Recv(now) {
+			r.receiveData(now, in, f)
+			sw++
+		}
 		// Any reservation for this cycle still unclaimed means the
 		// flit was destroyed en route — an idle pattern arrived in its
 		// place. Drop the reservation; every later table the control
@@ -315,6 +286,73 @@ func (r *Router) Tick(now sim.Cycle) {
 		}
 	}
 	r.prof.RouterTick(int(r.id), sched, arb, sw, cred)
+}
+
+// receiveCtrl queues a control flit that arrived on input port p, copying its
+// leads into the VC's scheduling state and returning the flit's lead array
+// to the network's pool.
+func (r *Router) receiveCtrl(now sim.Cycle, ci *ctrlInput, p topology.Port, cf noc.ControlFlit) {
+	vc := &ci.vcs[cf.VC]
+	var leads []leadState
+	if k := len(vc.spare); k > 0 {
+		leads = vc.spare[k-1][:0]
+		vc.spare[k-1] = nil
+		vc.spare = vc.spare[:k-1]
+	}
+	for _, le := range cf.Leads {
+		leads = append(leads, leadState{seq: le.Seq, arrival: le.Arrival, departAt: sim.Never})
+	}
+	r.leads.put(cf.Leads)
+	cf.Leads = nil
+	qc := queuedCtrl{flit: cf, leads: leads, arrivedAt: now}
+	if cf.Corrupted {
+		r.probe.Corrupt(int(r.id))
+		// The detection draw happens at receive so RNG order is
+		// a function of link traffic alone, not of queueing.
+		if r.crcDetect() {
+			qc.detectedCorrupt = true
+			r.hooks.CrcDetected(now)
+		}
+	}
+	vc.q = append(vc.q, qc)
+	if len(vc.q) > r.cfg.CtrlBufPerVC {
+		panic(fmt.Sprintf("core: node %d control buffer overflow on %s vc %d", r.id, p, cf.VC))
+	}
+}
+
+// receiveData handles a data flit that arrived on input in: the hop CRC and
+// hard-fault condemnation may drop it, otherwise the input port binds it to
+// its reservation (or bypasses it straight out).
+func (r *Router) receiveData(now sim.Cycle, in *inputPort, f noc.DataFlit) {
+	if r.wf != nil && f.Seq == 0 && f.Packet.Sampled {
+		r.wf.Arrive(uint64(f.Packet.ID), uint8(f.Attempt), now)
+	}
+	if f.Corrupted {
+		r.probe.Corrupt(int(r.id))
+		if r.crcDetect() {
+			// The hop CRC caught the damage: the flit is
+			// discarded into the established loss path — its
+			// reservation expires unclaimed and the destination's
+			// no-show detection triggers the end-to-end retry.
+			r.hooks.CrcDetected(now)
+			r.hooks.Dropped(f.Packet, now)
+			return
+		}
+	}
+	if in.condemnedArrival(now) {
+		// The control flit that was to schedule this data flit
+		// was destroyed by a hard fault; the flit has nowhere to
+		// go and would park forever.
+		r.hooks.Dropped(f.Packet, now)
+		return
+	}
+	if !in.arrive(now, f, func(f noc.DataFlit, out topology.Port) {
+		r.sendData(now, f, out)
+	}) {
+		// Phantom-orphaned flits overcommitted the pool; the
+		// refused flit is destroyed and recovered end to end.
+		r.hooks.Dropped(f.Packet, now)
+	}
 }
 
 // crcDetect draws whether the modeled c-bit hop CRC catches a corrupted
@@ -505,11 +543,7 @@ func (r *Router) scheduleLeads(now sim.Cycle, qc *queuedCtrl, vc *ctrlVC, out, i
 		attrVC = 0
 	}
 	if r.cfg.AllOrNothing {
-		type tentative struct {
-			lead int
-			td   sim.Cycle
-		}
-		var committed []tentative
+		committed := r.tentative[:0]
 		for i := range qc.leads {
 			if qc.leads[i].scheduled {
 				continue
@@ -525,6 +559,7 @@ func (r *Router) scheduleLeads(now sim.Cycle, qc *queuedCtrl, vc *ctrlVC, out, i
 			table.commit(td, tp, attrVC)
 			committed = append(committed, tentative{lead: i, td: td})
 		}
+		r.tentative = committed
 		for _, t := range committed {
 			r.probe.ReserveHit(now, int(r.id), int(out), uint64(qc.flit.Packet.ID), t.td)
 			r.finalizeLead(now, qc, &qc.leads[t.lead], t.td, out, inPort)
@@ -624,7 +659,7 @@ func (r *Router) forward(now sim.Cycle, ci *ctrlInput, vc *ctrlVC, vcIdx int, ou
 	r.probe.CtrlForward(int(r.id), int(out))
 	nf := qc.flit
 	nf.VC = vc.outVC
-	nf.Leads = make([]noc.LeadEntry, 0, len(qc.leads))
+	nf.Leads = r.leads.get()
 	for _, ld := range qc.leads {
 		if ld.dead {
 			continue // scheduled into a severed wire; the flit dies there
@@ -725,6 +760,7 @@ func (r *Router) severOutput(p topology.Port) {
 // credit upstream.
 func (r *Router) popCtrl(now sim.Cycle, ci *ctrlInput, vc *ctrlVC, vcIdx int) {
 	*r.progress++
+	vc.spare = append(vc.spare, vc.q[0].leads[:0])
 	copy(vc.q, vc.q[1:])
 	vc.q[len(vc.q)-1] = queuedCtrl{}
 	vc.q = vc.q[:len(vc.q)-1]

@@ -14,6 +14,13 @@ import (
 // so newly revealed cells inherit the net effect of every reservation and
 // credit seen so far.
 //
+// The storage is the hardware table's: exactly Horizon+1 cells in a ring.
+// head is the physical cell of cycle base, so cycle c lives at head+(c-base)
+// with one conditional wrap. A cell stores its free count relative to steady
+// (free = steady + rel), so a reservation or credit, which moves the free
+// count of every cycle from some cycle k to the end and steady with them,
+// rewrites only the cells before k: at most two contiguous spans of the ring.
+//
 // Reservations decrement the free count from the flit's downstream arrival
 // (t_d + t_p) through the horizon; credits from the downstream node increment
 // it from the announced departure cycle onward. A reservation whose arrival
@@ -22,8 +29,8 @@ import (
 type outResTable struct {
 	size   int // Horizon+1 cells: departures reservable in [now+1, now+Horizon]
 	base   sim.Cycle
-	busy   []bool
-	free   []int
+	head   int // physical cell of cycle base
+	cells  []resCell
 	cap    int // downstream pool capacity, for overflow checks
 	steady int
 	// infinite marks the ejection channel, whose downstream (reassembly
@@ -55,9 +62,17 @@ type outResTable struct {
 	// future holds at-infinity deltas already folded into steady whose
 	// effect must be excluded from cells revealed before their cycle.
 	future []futureDelta
+}
 
-	// sufMin is scratch for departure searches.
-	sufMin []int
+// resCell is one cycle of an output reservation table. rel is the cycle's
+// free-buffer count minus steady; min and max are the extremes of rel over
+// this cycle and every later one in the window, so a departure search checks
+// a candidate's downstream availability, and an update its bounds, in O(1).
+// Free counts lie in [0, DataBuffers], so 16 bits hold them
+// (Config.validate bounds DataBuffers).
+type resCell struct {
+	rel, min, max int16
+	busy          bool
 }
 
 type futureDelta struct {
@@ -67,29 +82,32 @@ type futureDelta struct {
 
 func newOutResTable(horizon sim.Cycle, buffers, ctrlVCs int, infinite bool) *outResTable {
 	size := int(horizon) + 1
-	t := &outResTable{
+	vcs := make([]int, 2*ctrlVCs)
+	return &outResTable{
 		size:        size,
-		busy:        make([]bool, size),
-		free:        make([]int, size),
+		cells:       make([]resCell, size),
 		cap:         buffers,
 		steady:      buffers,
 		infinite:    infinite,
-		outstanding: make([]int, ctrlVCs),
-		claims:      make([]int, ctrlVCs),
-		sufMin:      make([]int, size+1),
+		outstanding: vcs[:ctrlVCs:ctrlVCs],
+		claims:      vcs[ctrlVCs:],
 	}
-	for i := range t.free {
-		t.free[i] = buffers
-	}
-	return t
 }
 
-func (t *outResTable) idx(c sim.Cycle) int {
-	if c < 0 {
-		panic("core: negative cycle in reservation table")
+// cell returns the physical index of window offset off (0 <= off < size).
+func (t *outResTable) cell(off int) int {
+	i := t.head + off
+	if i >= t.size {
+		i -= t.size
 	}
-	return int(c % sim.Cycle(t.size))
+	return i
 }
+
+// idx returns the physical cell of cycle c, which must lie in the window.
+func (t *outResTable) idx(c sim.Cycle) int { return t.cell(int(c - t.base)) }
+
+// inWindow reports whether cycle c has a cell.
+func (t *outResTable) inWindow(c sim.Cycle) bool { return c >= t.base && c < t.end() }
 
 // end returns one past the last cycle in the window.
 func (t *outResTable) end() sim.Cycle { return t.base + sim.Cycle(t.size) }
@@ -102,26 +120,50 @@ func (t *outResTable) advance(now sim.Cycle) {
 	if now-t.base >= sim.Cycle(t.size) {
 		// The whole window expired (only possible in tests that jump
 		// time); reset every cell.
-		t.base = now
-		for i := range t.busy {
-			t.busy[i] = false
+		t.base, t.head = now, 0
+		for i := range t.cells {
+			t.cells[i] = resCell{rel: int16(t.revealValue(now+sim.Cycle(i)) - t.steady)}
 		}
-		for c := t.base; c < t.end(); c++ {
-			t.free[t.idx(c)] = t.revealValue(c)
-		}
+		last := t.cells[t.size-1].rel
+		sweep(t.cells, 0, last, last)
 		t.pruneFuture()
 		return
 	}
 	for t.base < now {
 		// The cell for cycle t.base expires and is recycled as the
 		// cell for cycle t.base+size.
-		revealed := t.base + sim.Cycle(t.size)
-		i := t.idx(t.base)
-		t.busy[i] = false
-		t.free[i] = t.revealValue(revealed)
+		i := t.head
+		rel := int16(t.revealValue(t.base+sim.Cycle(t.size)) - t.steady)
+		t.cells[i] = resCell{rel: rel, min: rel, max: rel}
+		t.head++
+		if t.head == t.size {
+			t.head = 0
+		}
 		t.base++
+		// The earlier cells' extremes already cover rel when the
+		// neighbor's do — the common case.
+		if p := &t.cells[t.cell(t.size-2)]; p.min > rel || p.max < rel {
+			t.relax()
+		}
 	}
 	t.pruneFuture()
+}
+
+// relax brings the suffix extremes of the earlier cells up to date with a
+// newly revealed last cell. It walks backward and stops at the first cell
+// whose extremes come out unchanged: no earlier rel changed, so every
+// earlier cell's extremes are unchanged too.
+func (t *outResTable) relax() {
+	c := &t.cells[t.cell(t.size-1)]
+	lo, hi := c.min, c.max
+	for off := t.size - 2; off >= 0; off-- {
+		c := &t.cells[t.cell(off)]
+		lo, hi = min(lo, c.rel), max(hi, c.rel)
+		if c.min == lo && c.max == hi {
+			return
+		}
+		c.min, c.max = lo, hi
+	}
 }
 
 // revealValue computes the free count for a newly revealed cell at cycle c:
@@ -176,36 +218,35 @@ func (t *outResTable) findDeparture(now, ta, tp sim.Cycle, vc int) (td sim.Cycle
 	if start >= t.end() {
 		return 0, false
 	}
+	off := int(start - t.base)
+	i := t.cell(off)
 	if t.infinite {
-		for c := start; c < t.end(); c++ {
-			if !t.busy[t.idx(c)] {
-				return c, true
+		for ; off < t.size; off++ {
+			if !t.cells[i].busy {
+				return t.base + sim.Cycle(off), true
+			}
+			if i++; i == t.size {
+				i = 0
 			}
 		}
 		return 0, false
 	}
 	need := 1 + t.reserve(vc)
-	// Suffix minimum of the free counts lets each candidate departure be
-	// checked in O(1): sufMin[i] = min over window cells [base+i, end).
-	t.sufMin[t.size] = t.steady
-	for i := t.size - 1; i >= 0; i-- {
-		v := t.free[t.idx(t.base+sim.Cycle(i))]
-		if t.sufMin[i+1] < v {
-			v = t.sufMin[i+1]
-		}
-		t.sufMin[i] = v
+	if t.steady < need {
+		return 0, false
 	}
-	for c := start; c < t.end(); c++ {
-		if t.busy[t.idx(c)] {
-			continue
+	// A candidate departing at off needs need free buffers at every cycle
+	// from its downstream arrival at off+lag on: steady plus that cell's
+	// suffix minimum. An arrival beyond the window needs steady alone,
+	// checked above.
+	low := int16(need - t.steady)
+	lag := int(tp)
+	for ; off < t.size; off++ {
+		if !t.cells[i].busy && (off+lag >= t.size || t.cells[t.cell(off+lag)].min >= low) {
+			return t.base + sim.Cycle(off), true
 		}
-		arr := c + tp
-		minFree := t.steady
-		if arr < t.end() {
-			minFree = t.sufMin[arr-t.base]
-		}
-		if minFree >= need && t.steady >= need {
-			return c, true
+		if i++; i == t.size {
+			i = 0
 		}
 	}
 	return 0, false
@@ -259,31 +300,79 @@ func (t *outResTable) releaseClaim(vc int) {
 	}
 }
 
+// shift adds delta to steady and to the free count of every cycle from
+// `from` (clamped to the window) to the window's end. Relative to steady
+// those cycles stand still, so only the cells before from move, by -delta.
+// A commit (delta < 0) must leave no cell's free count negative and a credit
+// (delta > 0) none above cap; the updated suffix extremes check that for
+// the whole range at once.
+func (t *outResTable) shift(from sim.Cycle, delta int) {
+	t.steady += delta
+	k := t.size
+	if from < t.end() {
+		k = 0
+		if from > t.base {
+			k = int(from - t.base)
+		}
+	}
+	d := int16(-delta)
+	var lo, hi int16
+	if k < t.size {
+		c := &t.cells[t.cell(k)]
+		lo, hi = c.min, c.max
+		if delta < 0 && t.steady+int(lo) < 0 {
+			panic("core: downstream free-buffer count went negative")
+		}
+		if delta > 0 && t.steady+int(hi) > t.cap {
+			panic("core: free-buffer cell exceeded downstream capacity")
+		}
+	} else if k > 0 {
+		c := &t.cells[t.cell(k-1)]
+		lo, hi = c.rel+d, c.rel+d
+	}
+	// The prefix is physical cells [head, head+k), wrapping past the ring's
+	// end; walk it backward, the wrapped part first.
+	end := t.head + k
+	if end > t.size {
+		lo, hi = sweep(t.cells[:end-t.size], d, lo, hi)
+		end = t.size
+	}
+	sweep(t.cells[t.head:end], d, lo, hi)
+}
+
+// sweep adds d to the rel of every cell in cs, last to first, and rebuilds
+// their suffix extremes from lo and hi, the extremes of the cells after
+// them; it returns the extremes of cs[0].
+func sweep(cs []resCell, d, lo, hi int16) (int16, int16) {
+	for i := len(cs) - 1; i >= 0; i-- {
+		c := &cs[i]
+		c.rel += d
+		lo = min(lo, c.rel)
+		hi = max(hi, c.rel)
+		c.min, c.max = lo, hi
+	}
+	return lo, hi
+}
+
 // commit reserves the channel at td and one downstream buffer (attributed to
 // control VC vc) from td+tp onward. The caller must have obtained td from
 // findDeparture in the same cycle (no intervening commits invalidate it only
 // if re-checked; the router always pairs find+commit).
 func (t *outResTable) commit(td, tp sim.Cycle, vc int) {
-	i := t.idx(td)
-	if t.busy[i] {
-		panic("core: committing a departure on a busy channel cycle")
-	}
-	if td < t.base || td >= t.end() {
+	if !t.inWindow(td) {
 		panic(fmt.Sprintf("core: departure %d outside window [%d,%d)", td, t.base, t.end()))
 	}
-	t.busy[i] = true
+	c := &t.cells[t.idx(td)]
+	if c.busy {
+		panic("core: committing a departure on a busy channel cycle")
+	}
+	c.busy = true
 	if t.infinite {
 		return
 	}
 	t.outstanding[vc]++
 	arr := td + tp
-	t.steady--
-	for c := arr; c < t.end(); c++ {
-		t.free[t.idx(c)]--
-		if t.free[t.idx(c)] < 0 {
-			panic("core: downstream free-buffer count went negative")
-		}
-	}
+	t.shift(arr, -1)
 	if arr >= t.end() {
 		// The decrement is folded into steady; cells revealed before
 		// arr must not see it.
@@ -294,11 +383,10 @@ func (t *outResTable) commit(td, tp sim.Cycle, vc int) {
 // uncommit rolls back a commit made earlier in the same cycle, used by
 // all-or-nothing scheduling when a later flit of the same control flit fails.
 func (t *outResTable) uncommit(td, tp sim.Cycle, vc int) {
-	i := t.idx(td)
-	if !t.busy[i] {
+	if !t.inWindow(td) || !t.cells[t.idx(td)].busy {
 		panic("core: uncommit of a non-busy channel cycle")
 	}
-	t.busy[i] = false
+	t.cells[t.idx(td)].busy = false
 	if t.infinite {
 		return
 	}
@@ -307,19 +395,17 @@ func (t *outResTable) uncommit(td, tp sim.Cycle, vc int) {
 		panic("core: outstanding residency count went negative on uncommit")
 	}
 	arr := td + tp
-	t.steady++
-	for c := arr; c < t.end(); c++ {
-		t.free[t.idx(c)]++
-	}
 	if arr >= t.end() {
-		for j := len(t.future) - 1; j >= 0; j-- {
-			if t.future[j].at == arr && t.future[j].delta == -1 {
-				t.future = append(t.future[:j], t.future[j+1:]...)
-				return
-			}
+		j := len(t.future) - 1
+		for j >= 0 && !(t.future[j].at == arr && t.future[j].delta == -1) {
+			j--
 		}
-		panic("core: uncommit found no matching future delta")
+		if j < 0 {
+			panic("core: uncommit found no matching future delta")
+		}
+		t.future = append(t.future[:j], t.future[j+1:]...)
 	}
+	t.shift(arr, +1)
 }
 
 // creditFrom processes a downstream credit: one more buffer is free from
@@ -338,38 +424,28 @@ func (t *outResTable) creditFrom(from sim.Cycle, vc int) {
 	if from >= t.end() {
 		panic(fmt.Sprintf("core: credit release cycle %d beyond window end %d — horizons out of sync", from, t.end()))
 	}
-	if from < t.base {
-		from = t.base
-	}
 	t.outstanding[vc]--
 	if t.outstanding[vc] < 0 {
 		panic("core: outstanding residency count went negative on credit")
 	}
-	t.steady++
-	if t.steady > t.cap {
+	if t.steady+1 > t.cap {
 		panic("core: free-buffer count exceeded downstream capacity")
 	}
-	for c := from; c < t.end(); c++ {
-		j := t.idx(c)
-		t.free[j]++
-		if t.free[j] > t.cap {
-			panic("core: free-buffer cell exceeded downstream capacity")
-		}
-	}
+	t.shift(from, +1)
 }
 
 // freeAt reports the free-buffer count recorded for cycle c (tests only).
 func (t *outResTable) freeAt(c sim.Cycle) int {
-	if c < t.base || c >= t.end() {
+	if !t.inWindow(c) {
 		panic("core: freeAt outside window")
 	}
-	return t.free[t.idx(c)]
+	return t.steady + int(t.cells[t.idx(c)].rel)
 }
 
 // busyAt reports whether the channel is reserved at cycle c (tests only).
 func (t *outResTable) busyAt(c sim.Cycle) bool {
-	if c < t.base || c >= t.end() {
+	if !t.inWindow(c) {
 		panic("core: busyAt outside window")
 	}
-	return t.busy[t.idx(c)]
+	return t.cells[t.idx(c)].busy
 }

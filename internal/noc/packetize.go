@@ -35,6 +35,13 @@ func DataFlits(p *Packet) []DataFlit {
 // first min(d, Len) data flits; each subsequent body flit leads the next d.
 // Arrival times are left zero; the source's injection scheduler fills them.
 func ControlFlits(p *Packet, d int) []ControlFlit {
+	return AppendControlFlits(nil, p, d)
+}
+
+// AppendControlFlits is ControlFlits building into dst[:0], reusing both
+// dst's array and the lead arrays of the flits it held before, so a caller
+// that packetizes one packet after another allocates only as it grows.
+func AppendControlFlits(dst []ControlFlit, p *Packet, d int) []ControlFlit {
 	if d < 1 {
 		panic("noc: control flit must lead at least one data flit")
 	}
@@ -42,14 +49,20 @@ func ControlFlits(p *Packet, d int) []ControlFlit {
 		panic("noc: packet must contain at least one data flit")
 	}
 	n := (p.Len + d - 1) / d // number of control flits
-	flits := make([]ControlFlit, 0, n)
-	for i := 0; i < n; i++ {
+	if cap(dst) < n {
+		dst = append(dst[:cap(dst)], make([]ControlFlit, n-cap(dst))...)
+	}
+	dst = dst[:n]
+	for i := range dst {
 		lo := i * d
 		hi := lo + d
 		if hi > p.Len {
 			hi = p.Len
 		}
-		leads := make([]LeadEntry, 0, hi-lo)
+		leads := dst[i].Leads[:0]
+		if leads == nil {
+			leads = make([]LeadEntry, 0, hi-lo)
+		}
 		for seq := lo; seq < hi; seq++ {
 			leads = append(leads, LeadEntry{Seq: seq})
 		}
@@ -57,7 +70,7 @@ func ControlFlits(p *Packet, d int) []ControlFlit {
 		if cf.Type.IsHead() {
 			cf.Dst = p.Dst
 		}
-		flits = append(flits, cf)
+		dst[i] = cf
 	}
-	return flits
+	return dst
 }

@@ -13,6 +13,16 @@
 // produce a report missing rows. Pass -lenient to restore the old
 // skip-and-count behavior (useful over stores healed after a crash).
 //
+// The committed store benchmarks/campaign.jsonl is the golden campaign, the
+// simulator's behaviour contract. This command regenerates it, and
+// re-simulating must reproduce every line byte for byte (compare sorted
+// lines: the store is written in completion order):
+//
+//	sweep -configs FR6,VC8,WH,SAF,VCT,CS -from 0.2 -to 0.6 -step 0.2 \
+//	      -sample 400 -warmup 600 -profile p.json -waterfall w.json -out g.jsonl
+//
+// TestGoldenCampaignReplay (golden_test.go) replays it on every go test.
+//
 // Usage:
 //
 //	report -out BENCHMARK.md benchmarks/campaign.jsonl

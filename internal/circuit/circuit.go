@@ -78,11 +78,16 @@ type ack struct {
 	id circuitID
 }
 
+// queuedProbe is a probe waiting in an input queue with its arrival cycle.
+type queuedProbe struct {
+	pr        probe
+	arrivedAt sim.Cycle
+}
+
 // probeQueue is the control input of one router port.
 type probeQueue struct {
 	exists    bool
-	q         []probe
-	arrivedAt []sim.Cycle
+	q         sim.Queue[queuedProbe]
 	in        *sim.Pipe[probe]
 	creditOut *sim.Pipe[noc.VCCredit]
 	// ackOut sends acks back toward the probe's origin.
@@ -154,13 +159,13 @@ func (r *Router) Tick(now sim.Cycle) {
 		if !o.exists || o.ackIn == nil {
 			continue
 		}
-		o.ackIn.RecvEach(now, func(a ack) {
-			e, ok := r.fwd[a.id]
-			if !ok {
+		for a, ok := o.ackIn.Recv(now); ok; a, ok = o.ackIn.Recv(now) {
+			e, known := r.fwd[a.id]
+			if !known {
 				panic(fmt.Sprintf("circuit: node %d relaying ack for unknown circuit %d", r.id, a.id))
 			}
 			r.in[e.in].ackOut.Send(now, a)
-		})
+		}
 	}
 	// Probe credits.
 	for p := range r.out {
@@ -168,12 +173,12 @@ func (r *Router) Tick(now sim.Cycle) {
 		if !o.exists || o.probeCreditIn == nil {
 			continue
 		}
-		o.probeCreditIn.RecvEach(now, func(noc.VCCredit) {
+		for _, ok := o.probeCreditIn.Recv(now); ok; _, ok = o.probeCreditIn.Recv(now) {
 			o.probeCredits++
 			if o.probeCredits > r.cfg.ProbeBuffers {
 				panic("circuit: probe credit overflow")
 			}
-		})
+		}
 	}
 	// Receive probes.
 	for p := range r.in {
@@ -181,13 +186,12 @@ func (r *Router) Tick(now sim.Cycle) {
 		if !in.exists || in.in == nil {
 			continue
 		}
-		in.in.RecvEach(now, func(pr probe) {
-			in.q = append(in.q, pr)
-			in.arrivedAt = append(in.arrivedAt, now)
-			if len(in.q) > r.cfg.ProbeBuffers {
+		for pr, ok := in.in.Recv(now); ok; pr, ok = in.in.Recv(now) {
+			in.q.Push(queuedProbe{pr: pr, arrivedAt: now})
+			if in.q.Len() > r.cfg.ProbeBuffers {
 				panic(fmt.Sprintf("circuit: node %d probe buffer overflow on %s", r.id, topology.Port(p)))
 			}
-		})
+		}
 	}
 	r.grantProbes(now)
 	r.forwardData(now)
@@ -201,7 +205,7 @@ func (r *Router) grantProbes(now sim.Cycle) {
 	r.cands = r.cands[:0]
 	for p := range r.in {
 		in := &r.in[p]
-		if !in.exists || len(in.q) == 0 || in.arrivedAt[0] >= now {
+		if !in.exists || in.q.Len() == 0 || in.q.Front().arrivedAt >= now {
 			continue
 		}
 		r.cands = append(r.cands, p)
@@ -212,7 +216,7 @@ func (r *Router) grantProbes(now sim.Cycle) {
 	}
 	for _, p := range r.cands {
 		in := &r.in[p]
-		pr := in.q[0]
+		pr := in.q.Front().pr
 		out, reachable := r.cfg.Routing.NextPort(r.mesh, r.id, pr.p.Dst)
 		if !reachable {
 			panic(fmt.Sprintf("circuit: node %d: destination %d unreachable", r.id, pr.p.Dst))
@@ -229,11 +233,7 @@ func (r *Router) grantProbes(now sim.Cycle) {
 		o.owner = pr.p.ID
 		o.inPort = topology.Port(p)
 		r.fwd[pr.p.ID] = fwdEntry{in: topology.Port(p), out: out}
-		// Consume the probe.
-		copy(in.q, in.q[1:])
-		in.q = in.q[:len(in.q)-1]
-		copy(in.arrivedAt, in.arrivedAt[1:])
-		in.arrivedAt = in.arrivedAt[:len(in.arrivedAt)-1]
+		in.q.Pop() // consume the probe
 		if in.creditOut != nil {
 			in.creditOut.Send(now, noc.VCCredit{})
 		}
@@ -257,9 +257,9 @@ func (r *Router) forwardData(now sim.Cycle) {
 		if pipe == nil {
 			continue
 		}
-		pipe.RecvEach(now, func(f noc.DataFlit) {
-			e, ok := r.fwd[f.Packet.ID]
-			if !ok || e.in != topology.Port(p) {
+		for f, ok := pipe.Recv(now); ok; f, ok = pipe.Recv(now) {
+			e, known := r.fwd[f.Packet.ID]
+			if !known || e.in != topology.Port(p) {
 				panic(fmt.Sprintf("circuit: node %d: data flit %s with no circuit", r.id, f))
 			}
 			o := &r.out[e.out]
@@ -271,7 +271,7 @@ func (r *Router) forwardData(now sim.Cycle) {
 				o.owned = false
 				delete(r.fwd, f.Packet.ID)
 			}
-		})
+		}
 	}
 }
 
@@ -279,7 +279,7 @@ func (r *Router) pendingWork() int {
 	n := len(r.fwd)
 	for p := range r.in {
 		if r.in[p].exists {
-			n += len(r.in[p].q)
+			n += r.in[p].q.Len()
 		}
 	}
 	return n

@@ -22,9 +22,9 @@ type ni struct {
 	// telescopes into Link with no router sites at all.
 	wf *waterfall.Ledger
 
-	queue   []*noc.Packet
+	queue   sim.Queue[*noc.Packet]
 	current *noc.Packet
-	flits   []noc.DataFlit
+	flits   []noc.DataFlit // current's flits, rebuilt in place per packet
 	next    int
 	acked   bool
 
@@ -40,34 +40,31 @@ func newNI(cfg Config, hooks *noc.Hooks) *ni {
 	return &ni{cfg: cfg, hooks: hooks, probeCredits: cfg.ProbeBuffers}
 }
 
-func (n *ni) offer(p *noc.Packet) { n.queue = append(n.queue, p) }
+func (n *ni) offer(p *noc.Packet) { n.queue.Push(p) }
 
-func (n *ni) queueLen() int { return len(n.queue) }
+func (n *ni) queueLen() int { return n.queue.Len() }
 
 func (n *ni) Tick(now sim.Cycle) {
-	n.probeCreditIn.RecvEach(now, func(noc.VCCredit) {
+	for _, ok := n.probeCreditIn.Recv(now); ok; _, ok = n.probeCreditIn.Recv(now) {
 		n.probeCredits++
 		if n.probeCredits > n.cfg.ProbeBuffers {
 			panic("circuit: NI probe credit overflow")
 		}
-	})
-	n.ackIn.RecvEach(now, func(a ack) {
+	}
+	for a, ok := n.ackIn.Recv(now); ok; a, ok = n.ackIn.Recv(now) {
 		if n.current == nil || a.id != n.current.ID {
 			panic("circuit: ack for a packet the NI is not waiting on")
 		}
 		n.acked = true
-	})
-	if n.current == nil && len(n.queue) > 0 && n.probeCredits > 0 {
-		p := n.queue[0]
-		copy(n.queue, n.queue[1:])
-		n.queue[len(n.queue)-1] = nil
-		n.queue = n.queue[:len(n.queue)-1]
+	}
+	if n.current == nil && n.queue.Len() > 0 && n.probeCredits > 0 {
+		p := n.queue.Pop()
 		n.current = p
 		p.InjectedAt = now
 		if n.wf != nil && p.Sampled {
 			n.wf.InjectStart(uint64(p.ID), 0, p.CreatedAt, now)
 		}
-		n.flits = noc.DataFlits(p)
+		n.flits = noc.AppendDataFlits(n.flits, p)
 		n.next = 0
 		n.acked = false
 		n.probeCredits--
@@ -82,13 +79,12 @@ func (n *ni) Tick(now sim.Cycle) {
 		n.next++
 		if n.next == len(n.flits) {
 			n.current = nil
-			n.flits = nil
 		}
 	}
 }
 
 func (n *ni) pendingWork() int {
-	w := len(n.queue)
+	w := n.queue.Len()
 	if n.current != nil {
 		w++
 	}
@@ -108,7 +104,7 @@ func newSink(hooks *noc.Hooks) *sink {
 }
 
 func (s *sink) Tick(now sim.Cycle) {
-	s.data.RecvEach(now, func(f noc.DataFlit) {
+	for f, ok := s.data.Recv(now); ok; f, ok = s.data.Recv(now) {
 		s.hooks.Ejected(now)
 		if s.wf != nil && f.Type.IsHead() && f.Packet.Sampled {
 			s.wf.Eject(uint64(f.Packet.ID), 0, now)
@@ -118,7 +114,7 @@ func (s *sink) Tick(now sim.Cycle) {
 			delete(s.got, f.Packet.ID)
 			s.hooks.Delivered(f.Packet, now)
 		}
-	})
+	}
 }
 
 // Network is a mesh of circuit-switched routers.

@@ -49,7 +49,7 @@ func (n *Network) checkLink(now sim.Cycle, l *linkPipes) {
 	co := &n.routers[l.a].ctrlOut[l.p]
 	ci := &n.routers[l.b].ctrlIn[l.p.Opposite()]
 	for v := 0; v < n.cfg.CtrlVCs; v++ {
-		total := co.credits[v] + len(ci.vcs[v].q)
+		total := co.credits[v] + ci.vcs[v].q.Len()
 		l.ctrlCredit.Each(func(c noc.VCCredit) {
 			if c.VC == v {
 				total++
@@ -73,7 +73,7 @@ func (n *Network) checkLocal(now sim.Cycle, id topology.NodeID) {
 	ni := n.nis[id]
 	ci := &n.routers[id].ctrlIn[topology.Local]
 	for v := 0; v < n.cfg.CtrlVCs; v++ {
-		total := ni.ctrlCredits[v] + len(ci.vcs[v].q)
+		total := ni.ctrlCredits[v] + ci.vcs[v].q.Len()
 		ni.ctrlCreditIn.Each(func(c noc.VCCredit) {
 			if c.VC == v {
 				total++

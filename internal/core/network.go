@@ -766,12 +766,12 @@ func (n *Network) DumpState() string {
 			}
 			for v := range ci.vcs {
 				vc := &ci.vcs[v]
-				if len(vc.q) == 0 {
+				if vc.q.Len() == 0 {
 					continue
 				}
-				qc := &vc.q[0]
+				qc := vc.q.Front()
 				fmt.Fprintf(&b, "  ctrl in %s vc %d: qlen=%d head=%v routed=%v route=%v alloc=%v admitted=%v leads=%+v\n",
-					topology.Port(p), v, len(vc.q), qc.flit, vc.routed, vc.route, vc.allocated, qc.admitted, qc.leads)
+					topology.Port(p), v, vc.q.Len(), qc.flit, vc.routed, vc.route, vc.allocated, qc.admitted, qc.leads)
 			}
 		}
 		for p := range r.inputs {
@@ -794,7 +794,7 @@ func (n *Network) DumpState() string {
 	for id, ni := range n.nis {
 		if ni.pendingWork() > 0 || len(ni.awaiting) > 0 {
 			fmt.Fprintf(&b, "NI %d: queue=%d active=%d sendAt=%d ctrlCredits=%v awaitingAck=%d pendingRetry=%d\n",
-				id, len(ni.queue), ni.activeCount(), ni.sendAt.len(), ni.ctrlCredits, len(ni.awaiting), ni.pendingRecovery())
+				id, ni.queue.Len(), ni.activeCount(), ni.sendAt.len(), ni.ctrlCredits, len(ni.awaiting), ni.pendingRecovery())
 		}
 	}
 	return b.String()

@@ -31,7 +31,7 @@ type NI struct {
 	// nil when latency provenance is disabled.
 	wf *waterfall.Ledger
 
-	queue []*noc.Packet
+	queue sim.Queue[*noc.Packet]
 
 	injTable *outResTable
 
@@ -131,7 +131,7 @@ func (n *NI) offer(p *noc.Packet) {
 	if n.cfg.RetryLimit > 0 {
 		n.awaiting[p.ID] = &retryState{pkt: p}
 	}
-	n.queue = append(n.queue, p)
+	n.queue.Push(p)
 }
 
 // ack releases a packet's retry state: the destination acknowledged
@@ -185,7 +185,7 @@ func (n *NI) tickRetries(now sim.Cycle) {
 			p.Attempts = st.attempt
 			n.probe.Retry(now, int(n.node), uint64(p.ID), st.attempt)
 			n.hooks.Retried(p, now)
-			n.queue = append(n.queue, p)
+			n.queue.Push(p)
 		}
 	}
 	fired := 0
@@ -220,8 +220,10 @@ func (n *NI) failUnreachable(now sim.Cycle) {
 	if n.unreachable == nil {
 		return
 	}
-	kept := n.queue[:0]
-	for _, p := range n.queue {
+	// One pass around the ring: each packet is popped and, unless failed,
+	// pushed back behind the others, so the kept ones keep their order.
+	for k := n.queue.Len(); k > 0; k-- {
+		p := n.queue.Pop()
 		if n.unreachable(p.Dst) {
 			if n.awaiting != nil {
 				delete(n.awaiting, p.ID)
@@ -229,12 +231,8 @@ func (n *NI) failUnreachable(now sim.Cycle) {
 			n.hooks.Unreachable(p, now)
 			continue
 		}
-		kept = append(kept, p)
+		n.queue.Push(p)
 	}
-	for i := len(kept); i < len(n.queue); i++ {
-		n.queue[i] = nil
-	}
-	n.queue = kept
 }
 
 func (n *NI) activeCount() int {
@@ -247,7 +245,7 @@ func (n *NI) activeCount() int {
 	return c
 }
 
-func (n *NI) queueLen() int { return len(n.queue) }
+func (n *NI) queueLen() int { return n.queue.Len() }
 
 // Tick advances the injection interface one cycle.
 func (n *NI) Tick(now sim.Cycle) {
@@ -275,16 +273,13 @@ func (n *NI) Tick(now sim.Cycle) {
 	// starts packets strictly one at a time; SourceInterleave lifts that
 	// to one packet per control VC.
 	for v := range n.active {
-		if n.active[v].active || n.ctrlOwned[v] || len(n.queue) == 0 {
+		if n.active[v].active || n.ctrlOwned[v] || n.queue.Len() == 0 {
 			continue
 		}
 		if !n.cfg.SourceInterleave && n.activeCount() > 0 {
 			break
 		}
-		p := n.queue[0]
-		copy(n.queue, n.queue[1:])
-		n.queue[len(n.queue)-1] = nil
-		n.queue = n.queue[:len(n.queue)-1]
+		p := n.queue.Pop()
 		n.ctrlOwned[v] = true
 		p.InjectedAt = now
 		if n.wf != nil && p.Sampled {
@@ -399,7 +394,7 @@ func (n *NI) tryInject(now sim.Cycle, v int) bool {
 
 // pendingWork reports queued packets plus unsent control and data flits.
 func (n *NI) pendingWork() int {
-	w := len(n.queue) + n.sendAt.len()
+	w := n.queue.Len() + n.sendAt.len()
 	for v := range n.active {
 		if n.active[v].active {
 			w += len(n.active[v].ctrl) - n.active[v].nextCtrl

@@ -28,8 +28,12 @@ func TestNIInjectsControlBeforeData(t *testing.T) {
 	var ctrlAt, dataAt []sim.Cycle
 	for now := sim.Cycle(0); now < 30; now++ {
 		n.Tick(now)
-		ctrl.RecvEach(now+1, func(cf noc.ControlFlit) { ctrlAt = append(ctrlAt, now) })
-		data.RecvEach(now+1, func(noc.DataFlit) { dataAt = append(dataAt, now) })
+		for _, ok := ctrl.Recv(now + 1); ok; _, ok = ctrl.Recv(now + 1) {
+			ctrlAt = append(ctrlAt, now)
+		}
+		for _, ok := data.Recv(now + 1); ok; _, ok = data.Recv(now + 1) {
+			dataAt = append(dataAt, now)
+		}
 	}
 	if len(ctrlAt) != 3 || len(dataAt) != 3 {
 		t.Fatalf("injected %d control and %d data flits, want 3 and 3", len(ctrlAt), len(dataAt))
@@ -49,12 +53,14 @@ func TestNILeadCyclesHonored(t *testing.T) {
 	dataSent := map[int]sim.Cycle{}
 	for now := sim.Cycle(0); now < 40; now++ {
 		n.Tick(now)
-		ctrl.RecvEach(now+1, func(cf noc.ControlFlit) {
+		for cf, ok := ctrl.Recv(now + 1); ok; cf, ok = ctrl.Recv(now + 1) {
 			for _, le := range cf.Leads {
 				ctrlSent[le.Seq] = now
 			}
-		})
-		data.RecvEach(now+1, func(f noc.DataFlit) { dataSent[f.Seq] = now })
+		}
+		for f, ok := data.Recv(now + 1); ok; f, ok = data.Recv(now + 1) {
+			dataSent[f.Seq] = now
+		}
 	}
 	for seq, c := range ctrlSent {
 		d, ok := dataSent[seq]
@@ -75,12 +81,14 @@ func TestNIControlFlitCarriesAccurateArrivals(t *testing.T) {
 	arrived := map[int]sim.Cycle{}
 	for now := sim.Cycle(0); now < 40; now++ {
 		n.Tick(now)
-		ctrl.RecvEach(now+1, func(cf noc.ControlFlit) {
+		for cf, ok := ctrl.Recv(now + 1); ok; cf, ok = ctrl.Recv(now + 1) {
 			for _, le := range cf.Leads {
 				announced[le.Seq] = le.Arrival
 			}
-		})
-		data.RecvEach(now, func(f noc.DataFlit) { arrived[f.Seq] = now })
+		}
+		for f, ok := data.Recv(now); ok; f, ok = data.Recv(now) {
+			arrived[f.Seq] = now
+		}
 	}
 	if len(announced) != 2 || len(arrived) != 2 {
 		t.Fatalf("announced %d, arrived %d; want 2 and 2", len(announced), len(arrived))
@@ -104,7 +112,7 @@ func TestNIRespectsControlCredits(t *testing.T) {
 	now := sim.Cycle(0)
 	step := func(returnCtrl bool) {
 		n.Tick(now)
-		ctrl.RecvEach(now+1, func(cf noc.ControlFlit) {
+		for cf, ok := ctrl.Recv(now + 1); ok; cf, ok = ctrl.Recv(now + 1) {
 			sent++
 			for _, le := range cf.Leads {
 				resv.Send(now+1, noc.ReservationCredit{FreeFrom: le.Arrival, VC: cf.VC})
@@ -112,7 +120,7 @@ func TestNIRespectsControlCredits(t *testing.T) {
 			if returnCtrl {
 				ctrlCredit.Send(now+1, noc.VCCredit{VC: cf.VC})
 			}
-		})
+		}
 		now++
 	}
 	for now < 20 {
@@ -143,14 +151,14 @@ func TestNIFIFOSourceSerializesPackets(t *testing.T) {
 	var order []noc.PacketID
 	for now := sim.Cycle(0); now < 40; now++ {
 		n.Tick(now)
-		ctrl.RecvEach(now+1, func(cf noc.ControlFlit) {
+		for cf, ok := ctrl.Recv(now + 1); ok; cf, ok = ctrl.Recv(now + 1) {
 			order = append(order, cf.Packet.ID)
 			// Play a healthy downstream: return both credit kinds.
 			ctrlCredit.Send(now+1, noc.VCCredit{VC: cf.VC})
 			for _, le := range cf.Leads {
 				resv.Send(now+1, noc.ReservationCredit{FreeFrom: le.Arrival, VC: cf.VC})
 			}
-		})
+		}
 	}
 	want := []noc.PacketID{1, 1, 2, 2}
 	if len(order) != len(want) {
@@ -173,14 +181,14 @@ func TestNIInterleaveAllowsConcurrentPackets(t *testing.T) {
 	lastOfOne := sim.Cycle(-1)
 	for now := sim.Cycle(0); now < 40; now++ {
 		n.Tick(now)
-		ctrl.RecvEach(now+1, func(cf noc.ControlFlit) {
+		for cf, ok := ctrl.Recv(now + 1); ok; cf, ok = ctrl.Recv(now + 1) {
 			if cf.Packet.ID == 2 && firstOfTwo < 0 {
 				firstOfTwo = now
 			}
 			if cf.Packet.ID == 1 {
 				lastOfOne = now
 			}
-		})
+		}
 	}
 	if firstOfTwo < 0 || lastOfOne < 0 {
 		t.Fatal("packets not injected")

@@ -113,7 +113,7 @@ func (n *Network) repairLink(a, b topology.NodeID) {
 		x.outTables[l.p] = newOutResTable(cfg.Horizon, cfg.DataBuffers, cfg.CtrlVCs, false)
 		co := &x.ctrlOut[l.p]
 		for v := range co.credits {
-			co.credits[v] = cfg.CtrlBufPerVC - len(y.ctrlIn[q].vcs[v].q)
+			co.credits[v] = cfg.CtrlBufPerVC - y.ctrlIn[q].vcs[v].q.Len()
 			co.owned[v] = false
 		}
 		drop := func(f noc.DataFlit) { n.hooks.Dropped(f.Packet, n.now) }
@@ -166,7 +166,7 @@ func (n *Network) killRouter(now sim.Cycle, v topology.NodeID) {
 		n.hooks.Unreachable(p, now)
 	}
 	ni.awaiting = make(map[noc.PacketID]*retryState)
-	ni.queue = nil
+	ni.queue = sim.Queue[*noc.Packet]{}
 	ni.timeouts = nil
 	ni.retryAt = make(map[sim.Cycle][]*noc.Packet)
 	ni.sendAt.reset()

@@ -62,7 +62,7 @@ type queuedCtrl struct {
 // (or a fresh head shows the tail itself was destroyed). spare holds the
 // lead-state arrays of popped flits for the VC's next arrivals.
 type ctrlVC struct {
-	q         []queuedCtrl
+	q         sim.Queue[queuedCtrl]
 	routed    bool
 	route     topology.Port
 	allocated bool
@@ -314,8 +314,8 @@ func (r *Router) receiveCtrl(now sim.Cycle, ci *ctrlInput, p topology.Port, cf n
 			r.hooks.CrcDetected(now)
 		}
 	}
-	vc.q = append(vc.q, qc)
-	if len(vc.q) > r.cfg.CtrlBufPerVC {
+	vc.q.Push(qc)
+	if vc.q.Len() > r.cfg.CtrlBufPerVC {
 		panic(fmt.Sprintf("core: node %d control buffer overflow on %s vc %d", r.id, p, cf.VC))
 	}
 }
@@ -407,7 +407,7 @@ func (r *Router) processControl(now sim.Cycle) (arb, sched int) {
 		}
 		for v := range ci.vcs {
 			vc := &ci.vcs[v]
-			if len(vc.q) > 0 && vc.q[0].arrivedAt < now {
+			if vc.q.Len() > 0 && vc.q.Front().arrivedAt < now {
 				r.cands = append(r.cands, portVC{topology.Port(p), v})
 			}
 		}
@@ -424,7 +424,7 @@ func (r *Router) processControl(now sim.Cycle) (arb, sched int) {
 	for _, cand := range r.cands {
 		ci := &r.ctrlIn[cand.port]
 		vc := &ci.vcs[cand.vc]
-		qc := &vc.q[0]
+		qc := vc.q.Front()
 		if vc.drain {
 			if qc.flit.Type.IsHead() {
 				// A fresh head while draining means the old stream's
@@ -633,9 +633,9 @@ func (r *Router) finalizeLead(now sim.Cycle, qc *queuedCtrl, ld *leadState, td s
 // done. Its buffer is freed (credit upstream) and on a tail the control VC's
 // routing entry is released.
 func (r *Router) consume(now sim.Cycle, ci *ctrlInput, vc *ctrlVC, vcIdx int) {
-	qc := vc.q[0]
+	isTail := vc.q.Front().flit.Type.IsTail()
 	r.popCtrl(now, ci, vc, vcIdx)
-	if qc.flit.Type.IsTail() {
+	if isTail {
 		vc.routed = false
 		vc.allocated = false
 	}
@@ -648,7 +648,7 @@ func (r *Router) consume(now sim.Cycle, ci *ctrlInput, vc *ctrlVC, vcIdx int) {
 // retries next cycle.
 func (r *Router) forward(now sim.Cycle, ci *ctrlInput, vc *ctrlVC, vcIdx int, out topology.Port) {
 	co := &r.ctrlOut[out]
-	qc := &vc.q[0]
+	qc := vc.q.Front()
 	if !vc.allocated {
 		panic("core: forwarding a control flit with no allocated downstream VC")
 	}
@@ -691,7 +691,7 @@ func (r *Router) forward(now sim.Cycle, ci *ctrlInput, vc *ctrlVC, vcIdx int, ou
 // is released here — otherwise every discarded stream would leak upstream
 // buffers until its source wedges.
 func (r *Router) discardCtrl(now sim.Cycle, ci *ctrlInput, vc *ctrlVC, vcIdx int, inPort topology.Port) {
-	qc := &vc.q[0]
+	qc := vc.q.Front()
 	in := r.inputs[inPort]
 	for i := range qc.leads {
 		ld := &qc.leads[i]
@@ -744,11 +744,12 @@ func (r *Router) severOutput(p topology.Port) {
 			// already scheduled into the dying output die with it too —
 			// their data is destroyed on the wire, so the re-routed stream
 			// must not announce them downstream.
-			for i := range vc.q {
-				vc.q[i].admitted = false
-				for j := range vc.q[i].leads {
-					if vc.q[i].leads[j].scheduled {
-						vc.q[i].leads[j].dead = true
+			for i := 0; i < vc.q.Len(); i++ {
+				qc := vc.q.At(i)
+				qc.admitted = false
+				for j := range qc.leads {
+					if qc.leads[j].scheduled {
+						qc.leads[j].dead = true
 					}
 				}
 			}
@@ -760,10 +761,8 @@ func (r *Router) severOutput(p topology.Port) {
 // credit upstream.
 func (r *Router) popCtrl(now sim.Cycle, ci *ctrlInput, vc *ctrlVC, vcIdx int) {
 	*r.progress++
-	vc.spare = append(vc.spare, vc.q[0].leads[:0])
-	copy(vc.q, vc.q[1:])
-	vc.q[len(vc.q)-1] = queuedCtrl{}
-	vc.q = vc.q[:len(vc.q)-1]
+	vc.spare = append(vc.spare, vc.q.Front().leads[:0])
+	vc.q.Pop()
 	if ci.creditOut != nil {
 		ci.creditOut.Send(now, noc.VCCredit{VC: vcIdx})
 	}
@@ -790,7 +789,7 @@ func (r *Router) pendingWork() int {
 			continue
 		}
 		for v := range r.ctrlIn[p].vcs {
-			n += len(r.ctrlIn[p].vcs[v].q)
+			n += r.ctrlIn[p].vcs[v].q.Len()
 		}
 	}
 	for p := range r.inputs {

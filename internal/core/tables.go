@@ -395,33 +395,44 @@ func (t *outResTable) uncommit(td, tp sim.Cycle, vc int) {
 		panic("core: outstanding residency count went negative on uncommit")
 	}
 	arr := td + tp
-	if arr >= t.end() {
-		j := len(t.future) - 1
-		for j >= 0 && !(t.future[j].at == arr && t.future[j].delta == -1) {
-			j--
-		}
-		if j < 0 {
-			panic("core: uncommit found no matching future delta")
-		}
-		t.future = append(t.future[:j], t.future[j+1:]...)
+	if arr >= t.end() && !t.dropFuture(arr) {
+		panic("core: uncommit found no matching future delta")
 	}
 	t.shift(arr, +1)
+}
+
+// dropFuture removes the latest future debit at cycle at, reporting whether
+// there was one.
+func (t *outResTable) dropFuture(at sim.Cycle) bool {
+	for j := len(t.future) - 1; j >= 0; j-- {
+		if t.future[j] == (futureDelta{at: at, delta: -1}) {
+			t.future = append(t.future[:j], t.future[j+1:]...)
+			return true
+		}
+	}
+	return false
 }
 
 // creditFrom processes a downstream credit: one more buffer is free from
 // cycle `from` onward, ending a residency attributed to control VC vc.
 //
-// A credit's release cycle always falls inside the window: the downstream
-// scheduler picked it within its own horizon of equal length, and the credit
-// wire adds at least one cycle, so from <= (now-1) + Horizon < end. The
-// availability search relies on this — a beyond-window credit would mean
-// cells revealed before `from` could silently dip below the searched
-// minimum — so it is enforced rather than tolerated.
+// A departure credit's release cycle falls inside the window: the
+// downstream scheduler picked it within its own horizon of equal length, and
+// the credit wire adds at least one cycle, so from <= (now-1) + Horizon <
+// end. The one credit that may not is a discarded lead's
+// (Router.discardCtrl): it releases the residency from the arrival cycle
+// this table announced, and a data link slower than the control link can
+// put that at or past end. Its debit is then still a future delta (from >
+// end) or was folded into steady as its cycle came into reach (from ==
+// end), so the credit cancels an empty residency: the future delta is
+// dropped when there is one, and the shift below does the rest. Any other
+// beyond-window credit would let cells revealed before `from` dip below the
+// searched minimum, so it panics.
 func (t *outResTable) creditFrom(from sim.Cycle, vc int) {
 	if t.infinite {
 		return
 	}
-	if from >= t.end() {
+	if from >= t.end() && !t.dropFuture(from) && from > t.end() {
 		panic(fmt.Sprintf("core: credit release cycle %d beyond window end %d — horizons out of sync", from, t.end()))
 	}
 	t.outstanding[vc]--

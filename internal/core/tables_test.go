@@ -344,3 +344,55 @@ func TestTableInvariantProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCreditBeyondWindowCancelsEmptyResidency: a discarded lead's credit
+// releases its residency from the arrival cycle the table announced, which
+// can lie at or past the window's end. Past the end, the debit is still a
+// future delta and the credit drops it; at the end, the debit was folded
+// into steady and pruned, and the credit only shifts. Either way the table
+// ends as if nothing had been committed downstream.
+func TestCreditBeyondWindowCancelsEmptyResidency(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		at   sim.Cycle // when the credit comes back
+	}{
+		{"future delta pending (arrival > end)", 0},
+		{"folded into steady (arrival == end)", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := newOutResTable(8, 3, 1, false)
+			tb.advance(0)
+			tb.commit(7, 4, 0) // window [0, 9): arrival 11 lies beyond it
+			tb.advance(tc.at)
+			if tc.at == 2 && (tb.end() != 11 || len(tb.future) != 0) {
+				t.Fatalf("set-up: end %d, future %v; want the debit pruned at end 11", tb.end(), tb.future)
+			}
+			tb.creditFrom(11, 0)
+			if tb.steady != 3 || tb.outstanding[0] != 0 || len(tb.future) != 0 {
+				t.Fatalf("steady %d, outstanding %d, future %v; want 3, 0, none", tb.steady, tb.outstanding[0], tb.future)
+			}
+			for now := tc.at; now <= 6; now++ {
+				tb.advance(now)
+				for c := tb.base; c < tb.end(); c++ {
+					if got := tb.freeAt(c); got != 3 {
+						t.Fatalf("now %d: free at %d = %d, want 3", now, c, got)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestCreditBeyondWindowWithoutDebitPanics: a credit past the window's end
+// that cancels no pending debit still means the horizons are out of sync.
+func TestCreditBeyondWindowWithoutDebitPanics(t *testing.T) {
+	tb := newOutResTable(8, 3, 1, false)
+	tb.advance(0)
+	tb.commit(1, 4, 0) // arrival 5, inside the window
+	defer func() {
+		if recover() == nil {
+			t.Fatal("credit from 12 with no future debit did not panic")
+		}
+	}()
+	tb.creditFrom(12, 0)
+}

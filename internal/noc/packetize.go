@@ -18,14 +18,24 @@ func TypeFor(seq, n int) FlitType {
 // virtual-channel and wormhole baselines use the Type field on the wire;
 // the flit-reservation network ignores it.
 func DataFlits(p *Packet) []DataFlit {
+	return AppendDataFlits(nil, p)
+}
+
+// AppendDataFlits is DataFlits building into dst[:0], reusing dst's array,
+// so a source that packetizes one packet after another allocates only as
+// it grows.
+func AppendDataFlits(dst []DataFlit, p *Packet) []DataFlit {
 	if p.Len < 1 {
 		panic("noc: packet must contain at least one data flit")
 	}
-	flits := make([]DataFlit, p.Len)
-	for i := range flits {
-		flits[i] = DataFlit{Packet: p, Seq: i, Attempt: p.Attempts, Type: TypeFor(i, p.Len)}
+	if cap(dst) < p.Len {
+		dst = make([]DataFlit, 0, p.Len)
 	}
-	return flits
+	dst = dst[:0]
+	for i := 0; i < p.Len; i++ {
+		dst = append(dst, DataFlit{Packet: p, Seq: i, Attempt: p.Attempts, Type: TypeFor(i, p.Len)})
+	}
+	return dst
 }
 
 // ControlFlits builds the control-flit sequence for a packet under

@@ -50,6 +50,17 @@ func TestDataFlits(t *testing.T) {
 			t.Fatalf("flit %d malformed: %+v", i, f)
 		}
 	}
+	// AppendDataFlits rebuilds into the same array when it is big enough.
+	q := &Packet{ID: 8, Len: 3, Attempts: 2}
+	again := AppendDataFlits(flits, q)
+	if len(again) != 3 || &again[0] != &flits[0] {
+		t.Fatalf("AppendDataFlits did not reuse the array: len %d", len(again))
+	}
+	for i, f := range again {
+		if f != (DataFlit{Packet: q, Seq: i, Attempt: 2, Type: TypeFor(i, 3)}) {
+			t.Fatalf("rebuilt flit %d malformed: %+v", i, f)
+		}
+	}
 }
 
 func TestControlFlitsHeadCarriesDestination(t *testing.T) {

@@ -16,7 +16,9 @@ type ni struct {
 	hooks *noc.Hooks
 	wf    *waterfall.Ledger
 
-	queue   []*noc.Packet
+	queue sim.Queue[*noc.Packet]
+	// current holds the packet being injected, rebuilt in place for each
+	// packet; next indexes its next flit, and len(current) == 0 when idle.
 	current []noc.DataFlit
 	next    int
 	credits int
@@ -29,31 +31,28 @@ func newNI(cfg Config, hooks *noc.Hooks) *ni {
 	return &ni{cfg: cfg, hooks: hooks, credits: cfg.PacketBuffers}
 }
 
-func (n *ni) offer(p *noc.Packet) { n.queue = append(n.queue, p) }
+func (n *ni) offer(p *noc.Packet) { n.queue.Push(p) }
 
-func (n *ni) queueLen() int { return len(n.queue) }
+func (n *ni) queueLen() int { return n.queue.Len() }
 
 func (n *ni) Tick(now sim.Cycle) {
-	n.creditIn.RecvEach(now, func(noc.VCCredit) {
+	for _, ok := n.creditIn.Recv(now); ok; _, ok = n.creditIn.Recv(now) {
 		n.credits++
 		if n.credits > n.cfg.PacketBuffers {
 			panic("packetswitch: NI credit overflow")
 		}
-	})
-	if n.current == nil && len(n.queue) > 0 && n.credits > 0 {
-		p := n.queue[0]
-		copy(n.queue, n.queue[1:])
-		n.queue[len(n.queue)-1] = nil
-		n.queue = n.queue[:len(n.queue)-1]
+	}
+	if len(n.current) == 0 && n.queue.Len() > 0 && n.credits > 0 {
+		p := n.queue.Pop()
 		n.credits--
 		p.InjectedAt = now
 		if n.wf != nil && p.Sampled {
 			n.wf.InjectStart(uint64(p.ID), 0, p.CreatedAt, now)
 		}
-		n.current = noc.DataFlits(p)
+		n.current = noc.AppendDataFlits(n.current, p)
 		n.next = 0
 	}
-	if n.current != nil {
+	if len(n.current) > 0 {
 		if f := n.current[n.next]; n.wf != nil && n.next == 0 && f.Packet.Sampled {
 			n.wf.HeadWire(uint64(f.Packet.ID), 0, now)
 		}
@@ -61,7 +60,7 @@ func (n *ni) Tick(now sim.Cycle) {
 		n.hooks.Injected(now)
 		n.next++
 		if n.next == len(n.current) {
-			n.current = nil
+			n.current = n.current[:0]
 		}
 	}
 }
@@ -80,7 +79,7 @@ func newSink(hooks *noc.Hooks) *sink {
 }
 
 func (s *sink) Tick(now sim.Cycle) {
-	s.data.RecvEach(now, func(f noc.DataFlit) {
+	for f, ok := s.data.Recv(now); ok; f, ok = s.data.Recv(now) {
 		s.hooks.Ejected(now)
 		if s.wf != nil && f.Type.IsHead() && f.Packet.Sampled {
 			s.wf.Eject(uint64(f.Packet.ID), 0, now)
@@ -90,7 +89,7 @@ func (s *sink) Tick(now sim.Cycle) {
 			delete(s.got, f.Packet.ID)
 			s.hooks.Delivered(f.Packet, now)
 		}
-	})
+	}
 }
 
 // Network is a mesh of store-and-forward or cut-through routers.

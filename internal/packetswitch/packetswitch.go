@@ -162,10 +162,9 @@ func newRouter(id topology.NodeID, mesh topology.Mesh, cfg Config, rng *sim.RNG)
 		if p != topology.Local && !mesh.HasLink(id, p) {
 			continue
 		}
+		// A slot's flit array is allocated when its first packet
+		// arrives, so a network costs little to build.
 		slots := make([]packetSlot, cfg.PacketBuffers)
-		for s := range slots {
-			slots[s].flits = make([]noc.DataFlit, 0, cfg.MaxPacketLen)
-		}
 		r.in[p] = inputState{exists: true, slots: slots, assembly: -1}
 		r.out[p] = outputState{
 			exists:   true,
@@ -191,12 +190,12 @@ func (r *Router) recvCredits(now sim.Cycle) {
 		if !o.exists || o.creditIn == nil {
 			continue
 		}
-		o.creditIn.RecvEach(now, func(noc.VCCredit) {
+		for _, ok := o.creditIn.Recv(now); ok; _, ok = o.creditIn.Recv(now) {
 			o.credits++
 			if o.credits > r.cfg.PacketBuffers {
 				panic("packetswitch: packet credit overflow")
 			}
-		})
+		}
 	}
 }
 
@@ -206,7 +205,7 @@ func (r *Router) recvFlits(now sim.Cycle) {
 		if !in.exists || in.data == nil {
 			continue
 		}
-		in.data.RecvEach(now, func(f noc.DataFlit) {
+		for f, ok := in.data.Recv(now); ok; f, ok = in.data.Recv(now) {
 			if r.wf != nil && f.Type.IsHead() && f.Packet.Sampled {
 				r.wf.Arrive(uint64(f.Packet.ID), 0, now)
 			}
@@ -226,7 +225,11 @@ func (r *Router) recvFlits(now sim.Cycle) {
 				}
 				in.assembly = slot
 				sl := &in.slots[slot]
-				*sl = packetSlot{occupied: true, flits: sl.flits[:0], total: f.Packet.Len, headAt: now}
+				flits := sl.flits[:0]
+				if flits == nil {
+					flits = make([]noc.DataFlit, 0, r.cfg.MaxPacketLen)
+				}
+				*sl = packetSlot{occupied: true, flits: flits, total: f.Packet.Len, headAt: now}
 			}
 			if in.assembly == -1 {
 				panic("packetswitch: body flit with no packet under assembly")
@@ -238,7 +241,7 @@ func (r *Router) recvFlits(now sim.Cycle) {
 			if f.Type.IsTail() {
 				in.assembly = -1
 			}
-		})
+		}
 	}
 }
 

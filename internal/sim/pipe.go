@@ -7,17 +7,33 @@ package sim
 // link; two narrow control flits per cycle on a control link in the paper's
 // configuration).
 //
+// In flight items sit on a Queue ring, so a delivery moves nothing behind
+// it. The pipe keeps the delivery cycle of its oldest item in its first word
+// (farFuture when empty), so a Recv on a pipe with nothing ready — the common
+// case, once per input per component per cycle — reads one word.
+//
+// Everything the fault models need lives behind one pointer, allocated only
+// for a pipe that is armed or severed: an ideal pipe fits a small allocation
+// class, and its Send tests one pointer instead of three fault settings.
+//
 // A Pipe is single-producer single-consumer and not safe for concurrent use;
 // the simulation is single-threaded by design.
 type Pipe[T any] struct {
+	next Cycle
+
+	q Queue[pipeEntry[T]]
+
 	latency Cycle
 	width   int
-
-	q []pipeEntry[T]
 
 	lastSendCycle Cycle
 	sentThisCycle int
 
+	faults *pipeFaults[T]
+}
+
+// pipeFaults is the fault state of a Pipe.
+type pipeFaults[T any] struct {
 	// Fault-injection state (NewFaultyPipe). Each item sent is corrupted
 	// in flight with probability faultRate; the receiver detects the
 	// corruption, NACKs, and the sender — which holds every unacknowledged
@@ -49,6 +65,18 @@ type Pipe[T any] struct {
 	corrupted int64
 }
 
+// armed returns the pipe's fault state, allocating it on first use.
+func (p *Pipe[T]) armed() *pipeFaults[T] {
+	if p.faults == nil {
+		p.faults = &pipeFaults[T]{}
+	}
+	return p.faults
+}
+
+// farFuture is the delivery cycle an empty pipe reports: later than any
+// cycle a simulation reaches, so the idle poll fails without a length test.
+const farFuture Cycle = 1<<63 - 1
+
 type pipeEntry[T any] struct {
 	readyAt Cycle
 	item    T
@@ -64,7 +92,7 @@ func NewPipe[T any](latency Cycle, width int) *Pipe[T] {
 	if width < 1 {
 		panic("sim: pipe width must be at least 1 item per cycle")
 	}
-	return &Pipe[T]{latency: latency, width: width, lastSendCycle: Never}
+	return &Pipe[T]{next: farFuture, latency: latency, width: width, lastSendCycle: Never}
 }
 
 // NewFaultyPipe returns a pipe that corrupts each item in flight with the
@@ -85,15 +113,21 @@ func NewFaultyPipe[T any](latency Cycle, width int, rate float64, rng *RNG, onCo
 		panic("sim: faulty pipe needs an RNG")
 	}
 	p := NewPipe[T](latency, width)
-	p.faultRate = rate
-	p.rng = rng
-	p.onCorrupt = onCorrupt
+	f := p.armed()
+	f.faultRate = rate
+	f.rng = rng
+	f.onCorrupt = onCorrupt
 	return p
 }
 
 // Retransmits reports how many corruption-and-replay events the pipe's
 // link-level recovery has performed.
-func (p *Pipe[T]) Retransmits() int64 { return p.retransmits }
+func (p *Pipe[T]) Retransmits() int64 {
+	if p.faults == nil {
+		return 0
+	}
+	return p.faults.retransmits
+}
 
 // WithBitErrors arms the pipe's bit-error model: each item sent is delivered
 // on time but passed through corrupt — which should mark it corrupted — with
@@ -109,9 +143,10 @@ func (p *Pipe[T]) WithBitErrors(ber float64, rng *RNG, corrupt func(T) T) *Pipe[
 	if ber > 0 && (rng == nil || corrupt == nil) {
 		panic("sim: bit-error pipe needs an RNG and a corrupting transform")
 	}
-	p.ber = ber
-	p.berRNG = rng
-	p.corruptFn = corrupt
+	f := p.armed()
+	f.ber = ber
+	f.berRNG = rng
+	f.corruptFn = corrupt
 	return p
 }
 
@@ -122,15 +157,22 @@ func (p *Pipe[T]) SetBitErrorRate(ber float64) {
 	if ber < 0 || ber >= 1 || ber != ber {
 		panic("sim: bit-error rate must lie in [0, 1)")
 	}
-	if ber > 0 && (p.berRNG == nil || p.corruptFn == nil) {
+	if ber > 0 && (p.faults == nil || p.faults.berRNG == nil || p.faults.corruptFn == nil) {
 		panic("sim: SetBitErrorRate on a pipe never armed with WithBitErrors")
 	}
-	p.ber = ber
+	if p.faults != nil {
+		p.faults.ber = ber
+	}
 }
 
 // Corrupted reports how many items the bit-error model has delivered
 // corrupted.
-func (p *Pipe[T]) Corrupted() int64 { return p.corrupted }
+func (p *Pipe[T]) Corrupted() int64 {
+	if p.faults == nil {
+		return 0
+	}
+	return p.faults.corrupted
+}
 
 // Latency reports the pipe's propagation delay in cycles.
 func (p *Pipe[T]) Latency() Cycle { return p.latency }
@@ -161,33 +203,40 @@ func (p *Pipe[T]) Send(now Cycle, item T) {
 		p.lastSendCycle = now
 		p.sentThisCycle = 1
 	}
-	if p.severed {
-		if p.onDrop != nil {
-			p.onDrop(item)
-		}
-		return
-	}
-	if p.ber > 0 && p.berRNG.Bool(p.ber) {
-		item = p.corruptFn(item)
-		p.corrupted++
-	}
 	readyAt := now + p.latency
-	if p.faultRate > 0 {
-		for p.rng.Bool(p.faultRate) {
-			readyAt += 2 * p.latency
-			p.retransmits++
-			if p.onCorrupt != nil {
-				p.onCorrupt()
+	if f := p.faults; f != nil {
+		if f.severed {
+			if f.onDrop != nil {
+				f.onDrop(item)
+			}
+			return
+		}
+		if f.ber > 0 && f.berRNG.Bool(f.ber) {
+			item = f.corruptFn(item)
+			f.corrupted++
+		}
+		if f.faultRate > 0 {
+			for f.rng.Bool(f.faultRate) {
+				readyAt += 2 * p.latency
+				f.retransmits++
+				if f.onCorrupt != nil {
+					f.onCorrupt()
+				}
+			}
+			// Go-back-N: an item sent behind a retransmitting
+			// predecessor is held in the sender's retransmit buffer and
+			// replayed after it, so delivery stays FIFO. Without replay
+			// delivery cycles cannot decrease, since sends cannot.
+			if n := p.q.Len(); n > 0 {
+				readyAt = max(readyAt, p.q.At(n-1).readyAt)
 			}
 		}
 	}
-	// Go-back-N: an item sent behind a retransmitting predecessor is held in
-	// the sender's retransmit buffer and replayed after it, so delivery stays
-	// FIFO.
-	if n := len(p.q); n > 0 && p.q[n-1].readyAt > readyAt {
-		readyAt = p.q[n-1].readyAt
+	if p.q.Len() == 0 {
+		p.next = readyAt
 	}
-	p.q = append(p.q, pipeEntry[T]{readyAt: readyAt, item: item})
+	e := p.q.pushSlot()
+	e.readyAt, e.item = readyAt, item
 }
 
 // TrySend sends item if bandwidth allows and reports whether it did.
@@ -200,47 +249,41 @@ func (p *Pipe[T]) TrySend(now Cycle, item T) bool {
 }
 
 // Recv pops the oldest item whose delivery time has arrived (readyAt <= now).
-// The second result is false when nothing is ready.
+// The second result is false when nothing is ready. Receivers drain a pipe
+// with
+//
+//	for x, ok := p.Recv(now); ok; x, ok = p.Recv(now) { ... }
+//
+// and Recv is small enough to inline there, so an idle poll is one compare.
 func (p *Pipe[T]) Recv(now Cycle) (T, bool) {
-	var zero T
-	if len(p.q) == 0 || p.q[0].readyAt > now {
+	if now < p.next {
+		var zero T
 		return zero, false
 	}
-	item := p.q[0].item
-	// Shift rather than reslice so the backing array does not grow without
-	// bound over long simulations.
-	copy(p.q, p.q[1:])
-	p.q[len(p.q)-1] = pipeEntry[T]{}
-	p.q = p.q[:len(p.q)-1]
-	return item, true
+	return p.pop(), true
 }
 
-// RecvEach pops every ready item in FIFO order, passes each to fn, and
-// returns how many were delivered. The count gives callers a free activity
-// signal for self-profiling; ignoring it is fine.
-func (p *Pipe[T]) RecvEach(now Cycle, fn func(T)) int {
-	delivered := 0
-	for {
-		item, ok := p.Recv(now)
-		if !ok {
-			return delivered
-		}
-		fn(item)
-		delivered++
+// pop delivers the oldest item and exposes the next one's delivery cycle.
+func (p *Pipe[T]) pop() T {
+	e := p.q.Pop()
+	p.next = farFuture
+	if p.q.Len() > 0 {
+		p.next = p.q.Front().readyAt
 	}
+	return e.item
 }
 
 // Len reports how many items are in flight (sent but not yet received).
-func (p *Pipe[T]) Len() int { return len(p.q) }
+func (p *Pipe[T]) Len() int { return p.q.Len() }
 
 // Empty reports whether nothing is in flight.
-func (p *Pipe[T]) Empty() bool { return len(p.q) == 0 }
+func (p *Pipe[T]) Empty() bool { return p.q.Len() == 0 }
 
 // Each visits every in-flight item in FIFO order without consuming it; it
 // exists for invariant checkers that audit conservation across a link.
 func (p *Pipe[T]) Each(fn func(T)) {
-	for i := range p.q {
-		fn(p.q[i].item)
+	for i := 0; i < p.q.Len(); i++ {
+		fn(p.q.At(i).item)
 	}
 }
 
@@ -249,26 +292,28 @@ func (p *Pipe[T]) Each(fn func(T)) {
 // likewise discarded. Severing an already-severed pipe only replaces the
 // drop callback.
 func (p *Pipe[T]) Sever(onDrop func(T)) {
-	p.onDrop = onDrop
-	if p.severed {
+	f := p.armed()
+	f.onDrop = onDrop
+	if f.severed {
 		return
 	}
-	p.severed = true
-	for i := range p.q {
-		if onDrop != nil {
-			onDrop(p.q[i].item)
+	f.severed = true
+	for p.q.Len() > 0 {
+		if e := p.q.Pop(); onDrop != nil {
+			onDrop(e.item)
 		}
-		p.q[i] = pipeEntry[T]{}
 	}
-	p.q = p.q[:0]
+	p.next = farFuture
 }
 
 // Restore repairs a severed wire; the pipe resumes carrying items. Items
 // destroyed while it was down stay destroyed.
 func (p *Pipe[T]) Restore() {
-	p.severed = false
-	p.onDrop = nil
+	if f := p.faults; f != nil {
+		f.severed = false
+		f.onDrop = nil
+	}
 }
 
 // Severed reports whether the pipe is currently cut.
-func (p *Pipe[T]) Severed() bool { return p.severed }
+func (p *Pipe[T]) Severed() bool { return p.faults != nil && p.faults.severed }

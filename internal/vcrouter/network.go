@@ -261,11 +261,11 @@ func (n *Network) DumpState() string {
 			}
 			for v := range in.vcs {
 				vc := &in.vcs[v]
-				if len(vc.q) == 0 {
+				if vc.q.Len() == 0 {
 					continue
 				}
 				fmt.Fprintf(&b, "  in %s vc %d: qlen=%d head=%v routed=%v route=%v alloc=%v outVC=%d\n",
-					topology.Port(p), v, len(vc.q), vc.q[0].flit, vc.routed, vc.route, vc.allocated, vc.outVC)
+					topology.Port(p), v, vc.q.Len(), vc.q.Front().flit, vc.routed, vc.route, vc.allocated, vc.outVC)
 			}
 		}
 		for p := range r.out {
@@ -277,8 +277,8 @@ func (n *Network) DumpState() string {
 		}
 	}
 	for id, ni := range n.nis {
-		if len(ni.queue) > 0 || ni.activeCount() > 0 {
-			fmt.Fprintf(&b, "NI %d queue=%d active=%d credits=%v\n", id, len(ni.queue), ni.activeCount(), ni.credits)
+		if ni.queue.Len() > 0 || ni.activeCount() > 0 {
+			fmt.Fprintf(&b, "NI %d queue=%d active=%d credits=%v\n", id, ni.queue.Len(), ni.activeCount(), ni.credits)
 		}
 	}
 	return b.String()

@@ -25,7 +25,7 @@ type ni struct {
 	prof  *profile.Registry
 	wf    *waterfall.Ledger
 
-	queue []*noc.Packet
+	queue sim.Queue[*noc.Packet]
 	slots []niSlot
 
 	credits []int // per local-input VC
@@ -39,7 +39,8 @@ type ni struct {
 	ready []int // scratch
 }
 
-// niSlot is one packet mid-injection on one local-input VC.
+// niSlot is one packet mid-injection on one local-input VC. Its flits
+// array is rebuilt in place for each packet the slot carries.
 type niSlot struct {
 	active bool
 	vc     int
@@ -61,7 +62,7 @@ func newNI(node topology.NodeID, cfg Config, rng *sim.RNG, hooks *noc.Hooks) *ni
 	return n
 }
 
-func (n *ni) offer(p *noc.Packet) { n.queue = append(n.queue, p) }
+func (n *ni) offer(p *noc.Packet) { n.queue.Push(p) }
 
 func (n *ni) activeCount() int {
 	c := 0
@@ -73,7 +74,7 @@ func (n *ni) activeCount() int {
 	return c
 }
 
-func (n *ni) queueLen() int { return len(n.queue) }
+func (n *ni) queueLen() int { return n.queue.Len() }
 
 func (n *ni) hasCredit(vc int) bool {
 	if n.cfg.SharedPool {
@@ -95,20 +96,22 @@ func (n *ni) hasCredit(vc int) bool {
 func (n *ni) Tick(now sim.Cycle) {
 	// Self-profiling work counter: credits absorbed, packets started,
 	// flits injected.
-	work := n.creditIn.RecvEach(now, func(c noc.VCCredit) {
+	work := 0
+	for c, ok := n.creditIn.Recv(now); ok; c, ok = n.creditIn.Recv(now) {
 		if n.cfg.SharedPool {
 			n.pool++
 			n.occ[c.VC]--
 		} else {
 			n.credits[c.VC]++
 		}
-	})
+		work++
+	}
 
 	// Assign queued packets to free VC slots. By default the source is a
 	// FIFO injecting one packet at a time; SourceInterleave lifts that to
 	// one packet per local virtual channel.
 	for s := range n.slots {
-		if n.slots[s].active || len(n.queue) == 0 {
+		if n.slots[s].active || n.queue.Len() == 0 {
 			continue
 		}
 		if !n.cfg.SourceInterleave && n.activeCount() > 0 {
@@ -118,16 +121,13 @@ func (n *ni) Tick(now sim.Cycle) {
 		if n.owned[s] {
 			continue
 		}
-		p := n.queue[0]
-		copy(n.queue, n.queue[1:])
-		n.queue[len(n.queue)-1] = nil
-		n.queue = n.queue[:len(n.queue)-1]
+		p := n.queue.Pop()
 		n.owned[s] = true
 		p.InjectedAt = now
 		if n.wf != nil && p.Sampled {
 			n.wf.InjectStart(uint64(p.ID), 0, p.CreatedAt, now)
 		}
-		n.slots[s] = niSlot{active: true, vc: s, flits: noc.DataFlits(p)}
+		n.slots[s] = niSlot{active: true, vc: s, flits: noc.AppendDataFlits(n.slots[s].flits, p)}
 		work++
 	}
 
@@ -160,7 +160,6 @@ func (n *ni) Tick(now sim.Cycle) {
 		if sl.next == len(sl.flits) {
 			n.owned[sl.vc] = false
 			sl.active = false
-			sl.flits = nil
 		}
 		work++
 	}
@@ -189,7 +188,9 @@ func newSink(node topology.NodeID, hooks *noc.Hooks) *sink {
 }
 
 func (s *sink) Tick(now sim.Cycle) {
-	received := s.data.RecvEach(now, func(f noc.DataFlit) {
+	received := 0
+	for f, ok := s.data.Recv(now); ok; f, ok = s.data.Recv(now) {
+		received++
 		if f.Corrupted {
 			// The baseline has no end-to-end recovery: an escaped
 			// corruption is delivered as if it were good data, and only
@@ -207,6 +208,6 @@ func (s *sink) Tick(now sim.Cycle) {
 			s.delivered++
 			s.hooks.Delivered(f.Packet, now)
 		}
-	})
+	}
 	s.prof.ComponentTick(profile.CompSink, int(s.node), received > 0)
 }

@@ -24,7 +24,7 @@ type queuedFlit struct {
 // queue plus the route and output-VC allocation of the packet currently
 // occupying the channel.
 type vcState struct {
-	q         []queuedFlit
+	q         sim.Queue[queuedFlit]
 	routed    bool
 	route     topology.Port
 	allocated bool
@@ -144,20 +144,21 @@ func (r *Router) recvCredits(now sim.Cycle) int {
 		if !o.exists || o.creditIn == nil {
 			continue
 		}
-		received += o.creditIn.RecvEach(now, func(c noc.VCCredit) {
+		for c, ok := o.creditIn.Recv(now); ok; c, ok = o.creditIn.Recv(now) {
+			received++
 			if r.cfg.SharedPool {
 				o.pool++
 				o.occ[c.VC]--
 				if o.pool > r.cfg.BuffersPerInput() || o.occ[c.VC] < 0 {
 					panic(fmt.Sprintf("vcrouter: node %d out %s pooled credit overflow", r.id, topology.Port(p)))
 				}
-				return
+				continue
 			}
 			o.credits[c.VC]++
 			if o.credits[c.VC] > r.cfg.BufPerVC {
 				panic(fmt.Sprintf("vcrouter: node %d out %s vc %d credit overflow", r.id, topology.Port(p), c.VC))
 			}
-		})
+		}
 	}
 	return received
 }
@@ -169,7 +170,8 @@ func (r *Router) recvFlits(now sim.Cycle) int {
 		if !in.exists || in.data == nil {
 			continue
 		}
-		received += in.data.RecvEach(now, func(f noc.DataFlit) {
+		for f, ok := in.data.Recv(now); ok; f, ok = in.data.Recv(now) {
+			received++
 			if r.wf != nil && f.Type.IsHead() && f.Packet.Sampled {
 				r.wf.Arrive(uint64(f.Packet.ID), 0, now)
 			}
@@ -186,16 +188,16 @@ func (r *Router) recvFlits(now sim.Cycle) int {
 				}
 			}
 			vc := &in.vcs[f.VC]
-			vc.q = append(vc.q, queuedFlit{flit: f, arrivedAt: now})
+			vc.q.Push(queuedFlit{flit: f, arrivedAt: now})
 			in.poolUsed++
 			if r.cfg.SharedPool {
 				if in.poolUsed > r.cfg.BuffersPerInput() {
 					panic(fmt.Sprintf("vcrouter: node %d in %s pooled buffer overflow", r.id, topology.Port(p)))
 				}
-			} else if len(vc.q) > r.cfg.BufPerVC {
+			} else if vc.q.Len() > r.cfg.BufPerVC {
 				panic(fmt.Sprintf("vcrouter: node %d in %s vc %d buffer overflow", r.id, topology.Port(p), f.VC))
 			}
-		})
+		}
 	}
 	return received
 }
@@ -225,10 +227,10 @@ func (r *Router) allocateVCs(now sim.Cycle) int {
 		}
 		for v := range in.vcs {
 			vc := &in.vcs[v]
-			if len(vc.q) == 0 || vc.allocated {
+			if vc.q.Len() == 0 || vc.allocated {
 				continue
 			}
-			head := vc.q[0].flit
+			head := vc.q.Front().flit
 			if !head.Type.IsHead() {
 				// A body flit can only be at the front of an
 				// unallocated VC if the model leaked state.
@@ -289,10 +291,10 @@ func (r *Router) switchAllocate(now sim.Cycle) int {
 		}
 		for v := range in.vcs {
 			vc := &in.vcs[v]
-			if !vc.allocated || len(vc.q) == 0 {
+			if !vc.allocated || vc.q.Len() == 0 {
 				continue
 			}
-			if vc.q[0].arrivedAt >= now {
+			if vc.q.Front().arrivedAt >= now {
 				if r.wf != nil {
 					r.blockedHead(topology.Port(p), v, waterfall.StageArb, now)
 				}
@@ -366,10 +368,7 @@ func (r *Router) traverse(now sim.Cycle, p topology.Port, v int) {
 	vc := &in.vcs[v]
 	o := &r.out[vc.route]
 
-	qf := vc.q[0]
-	copy(vc.q, vc.q[1:])
-	vc.q[len(vc.q)-1] = queuedFlit{}
-	vc.q = vc.q[:len(vc.q)-1]
+	qf := vc.q.Pop()
 	in.poolUsed--
 
 	if in.creditOut != nil {
@@ -409,10 +408,10 @@ func (r *Router) traverse(now sim.Cycle, p topology.Port, v int) {
 // packets are skipped; the ledger deduplicates to one mark per cycle.
 func (r *Router) blockedHead(p topology.Port, v int, stage waterfall.Stage, now sim.Cycle) {
 	vc := &r.in[p].vcs[v]
-	if len(vc.q) == 0 {
+	if vc.q.Len() == 0 {
 		return
 	}
-	f := vc.q[0].flit
+	f := vc.q.Front().flit
 	if f.Type.IsHead() && f.Packet.Sampled {
 		r.wf.Blocked(uint64(f.Packet.ID), stage, now)
 	}
